@@ -100,13 +100,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = sweep(
-        args.family,
-        args.r_max,
-        args.p_max,
-        z_values=args.z,
-        jobs=args.jobs,
-    )
+    reports = sweep(args.family, args.r_max, args.p_max, z_values=args.z)
     for report in reports:
         print(json.dumps(report.to_dict()))
     failed = [rep for rep in reports if not rep.passed]
@@ -165,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--z", type=int, nargs="*", default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--json", action="store_true",
                    help="emit only the JSON report lines, no summary")
     p.set_defaults(func=cmd_verify)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -25,7 +24,7 @@ from .exact import (
 )
 from .ratfunc import RationalFunction
 from .reduction import NotPartible, is_partible, partible_reduce
-from .sequences import FAMILY_NAMES, UnknownFamily, builtin
+from .sequences import FAMILY_NAMES, UnknownFamily, binomial_products, builtin
 
 __all__ = [
     "CongruenceReport",
@@ -47,6 +46,9 @@ class HypothesisViolation(ValueError):
 
 
 _MODULUS_EXP = {"apery": 3, "apery_signed": 3, "delannoy_number": 1, "delannoy_poly": 1}
+# parity of the power (2k+1)^power that verify checks when none is given
+_VERIFY_PARITY = {"apery": "odd", "apery_signed": "odd", "delannoy_number": "even",
+                  "delannoy_poly": "odd"}
 
 
 def _check_family(name: str):
@@ -66,6 +68,8 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     _check_family(family)
     if r < 0:
         raise ValueError("r must be nonnegative")
+    if z is not None and family != "delannoy_poly":
+        raise ValueError(f"{family} has no z parameter")
     if family in ("apery", "apery_signed"):
         if power_parity not in (None, "odd"):
             raise ValueError(f"{family} congruences only cover odd powers")
@@ -74,8 +78,6 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
         m, survivor = 2 * r + 1, 1
         fam = builtin(family)
     else:
-        if z is not None and family == "delannoy_number":
-            raise ValueError("delannoy_number has no z parameter")
         parity = power_parity or "even"
         if parity == "even":
             m, survivor = 2 * r + 2, 0
@@ -132,6 +134,8 @@ def _denominator_content(c) -> int:
 
 
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     table = ConstantTable(family)
     for r in range(r_max + 1):
         c = derive_constant(family, r, z=z)
@@ -226,6 +230,9 @@ def verify(
 
     lhs = sum_{k=0}^{p-1} (2k+1)^power F(k) mod p^e with F generated from
     the binomial-sum definition; rhs is the family's closed form.
+    power_parity picks power = 2r+1 ("odd") or 2r+2 ("even"); by default
+    even for delannoy_number and odd otherwise.  An odd-power Delannoy sum
+    must vanish; the Apery families only have the odd one.
     """
     started = time.perf_counter()
     _check_family(family)
@@ -238,17 +245,17 @@ def verify(
     if family in ("apery", "apery_signed"):
         _require(p > 3, f"{family} requires p > 3")
         _require(z is None, f"{family} has no z parameter")
-        power = 2 * r + 1
+        _require(power_parity in (None, "odd"), f"{family} congruences only cover odd powers")
     elif family == "delannoy_number":
         _require(p % 2 == 1, "delannoy_number requires an odd prime")
         _require(z is None, "delannoy_number has no z parameter")
-        power = 2 * r + 2
     else:
         _require(p % 2 == 1, "delannoy_poly requires an odd prime")
         _require(isinstance(z, int) and z != 0, "delannoy_poly needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
-        parity = power_parity or "odd"
-        power = 2 * r + 1 if parity == "odd" else 2 * r + 2
+    parity = power_parity or _VERIFY_PARITY[family]
+    _require(parity in ("odd", "even"), f"unknown power parity {power_parity!r}")
+    power = 2 * r + 1 if parity == "odd" else 2 * r + 2
 
     modulus = p ** e
     terms = _terms if _terms is not None else _family_terms(family, p, z)
@@ -257,19 +264,18 @@ def verify(
         lhs_val = (lhs_val + pow(2 * k + 1, power, modulus) * (terms[k] % modulus)) % modulus
     lhs = Residue(lhs_val, modulus)
 
+    if family in ("apery", "apery_signed") or parity == "even":
+        c = _constant if _constant is not None else derive_constant(
+            family, r, power_parity=parity)
     if family == "apery":
-        c = _constant if _constant is not None else derive_constant(family, r)
         rhs = rational_to_residue(c * p, modulus)
     elif family == "apery_signed":
-        c = _constant if _constant is not None else derive_constant(family, r)
         rhs = rational_to_residue(c * p * legendre_symbol(p, 3), modulus)
-    elif family == "delannoy_number":
-        c = _constant if _constant is not None else derive_constant(family, r)
-        rhs = rational_to_residue(c * legendre_symbol(-1, p), modulus)
-    elif power % 2 == 1:
+    elif parity == "odd":
         rhs = Residue(0, modulus)
+    elif family == "delannoy_number":
+        rhs = rational_to_residue(c * legendre_symbol(-1, p), modulus)
     else:
-        c = _constant if _constant is not None else derive_constant("delannoy_poly", r)
         cz = c.evaluate(z) if isinstance(c, RationalFunction) else Fraction(c)
         base = sum(t % modulus for t in terms) % modulus
         rhs = rational_to_residue(cz, modulus) * base
@@ -295,25 +301,10 @@ def admissible_primes(family: str, p_max: int, z: int | None = None) -> list[int
         return primes_in_range(5, p_max)
     primes = primes_in_range(3, p_max)
     if family == "delannoy_poly":
-        if z is None:
+        if not z:
             raise HypothesisViolation("delannoy_poly needs a nonzero integer z")
         primes = [p for p in primes if z % p != 0]
     return primes
-
-
-def _sweep_cell(args) -> CongruenceReport:
-    family, r, p, z, constant, terms, power_parity = args
-    try:
-        return verify(
-            family, r, p, z=z, power_parity=power_parity,
-            _terms=terms, _constant=constant,
-        )
-    except Exception as exc:  # keep the sweep alive; report the cell as failed
-        return CongruenceReport(
-            family=family, r=r, p=p, e=_MODULUS_EXP[family],
-            power=0, z=z, lhs=-1, rhs=-1, passed=False,
-            elapsed=0.0, error=str(exc),
-        )
 
 
 def sweep(
@@ -321,44 +312,60 @@ def sweep(
     r_max: int,
     p_max: int,
     z_values=None,
-    jobs: int = 1,
     power_parity: str | None = None,
 ) -> list[CongruenceReport]:
     """All cells (r <= r_max, admissible p <= p_max[, z]) for one family.
 
-    Constants are derived once per r with no reference to any prime, and
-    the term lists are generated once and sliced per cell.
+    Constants are derived once per r with no reference to any prime.  The
+    terms are generated once per z, and reduced mod p^e once per prime
+    for all r.  A cell that raises is reported as failed with its error.
+    Raises HypothesisViolation when some z (or the family) has no cell.
     """
     _check_family(family)
+    if r_max < 0:
+        raise ValueError("r_max must be nonnegative")
     if family == "delannoy_poly":
         zs = [int(v) for v in (z_values if z_values is not None else [1])]
+        if not zs:
+            raise HypothesisViolation("delannoy_poly needs at least one z")
     else:
         zs = [None]
-        if z_values:
+        if z_values is not None:
             raise HypothesisViolation(f"{family} has no z parameter")
 
-    parity = power_parity or ("odd" if family == "delannoy_poly" else None)
-    needs_constant = family != "delannoy_poly" or parity == "even"
+    parity = power_parity or _VERIFY_PARITY[family]
+    if parity not in ("odd", "even"):
+        raise ValueError(f"unknown power parity {power_parity!r}")
+    needs_constant = family in ("apery", "apery_signed") or parity == "even"
     constants = {
         r: derive_constant(family, r, power_parity=parity) if needs_constant else None
         for r in range(r_max + 1)
     }
 
-    cells = []
+    e = _MODULUS_EXP[family]
+    reports = []
     for z in zs:
         primes = admissible_primes(family, p_max, z)
         if not primes:
-            continue
-        terms = tuple(_family_terms(family, max(primes), z))
-        for r in range(r_max + 1):
-            for p in primes:
-                cells.append((family, r, p, z, constants[r], terms[:p], parity))
-
-    if jobs > 1 and len(cells) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_sweep_cell, cells, chunksize=8))
-    else:
-        reports = [_sweep_cell(cell) for cell in cells]
+            where = "" if z is None else f" at z={z}"
+            raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
+        terms = _family_terms(family, max(primes), z)
+        for p in primes:
+            modulus = p ** e
+            residues = [terms[k] % modulus for k in range(p)]
+            for r in range(r_max + 1):
+                try:
+                    report = verify(
+                        family, r, p, z=z, power_parity=parity,
+                        _terms=residues, _constant=constants[r],
+                    )
+                except Exception as exc:  # keep the sweep alive; report the cell as failed
+                    report = CongruenceReport(
+                        family=family, r=r, p=p, e=e,
+                        power=0, z=z, lhs=-1, rhs=-1, passed=False,
+                        elapsed=0.0, error=str(exc),
+                    )
+                reports.append(report)
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))
     return reports
 
@@ -381,6 +388,6 @@ def odd_power_symbolic_zero(p: int, r: int) -> bool:
     acc = [0] * p
     for k in range(p):
         w = pow(2 * k + 1, 2 * r + 1)
-        for i in range(k + 1):
-            acc[i] += w * math.comb(k, i) * math.comb(k + i, i)
+        for i, t in enumerate(binomial_products(k)):
+            acc[i] += w * t
     return all(c % p == 0 for c in acc)

@@ -2,6 +2,8 @@
 
 Term generators use nothing but the defining binomial sums, so the wired
 annihilators are genuinely tested against them rather than assumed.
+Each sum is built summand by summand from its term ratio in the index of
+summation; the recurrence in the sequence index is never used.
 """
 
 from __future__ import annotations
@@ -22,14 +24,27 @@ class UnknownFamily(ValueError):
 FAMILY_NAMES = ("apery", "apery_signed", "delannoy_number", "delannoy_poly")
 
 
+def binomial_products(m: int, squared: bool = False):
+    """Yield C(m,j) C(m+j,j) for j = 0 .. m, or its square when `squared`.
+
+    Each value t comes from the previous one by the summand ratio a/b,
+    a = (m-j)(m+j+1) and b = (j+1)^2, or by (a/b)^2 for the squares.  The
+    divisions are exact: t*a = t'*b and t^2*a^2 = t'^2*b^2 for the next
+    value t'.  Stepping the square by small factors is cheaper than
+    squaring a big integer per summand.
+    """
+    t = 1
+    yield t
+    for j in range(m):
+        a = (m - j) * (m + j + 1)
+        b = (j + 1) * (j + 1)
+        t = t * a * a // b // b if squared else t * a // b
+        yield t
+
+
 def apery_terms(n: int) -> list[int]:
     """A_0 .. A_{n-1} where A_m = sum_j C(m,j)^2 C(m+j,j)^2."""
-    out = []
-    for m in range(n):
-        out.append(
-            sum(math.comb(m, j) ** 2 * math.comb(m + j, j) ** 2 for j in range(m + 1))
-        )
-    return out
+    return [sum(binomial_products(m, squared=True)) for m in range(n)]
 
 
 def apery_signed_terms(n: int) -> list[int]:
@@ -45,9 +60,12 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     """
     out = []
     for m in range(n):
-        out.append(
-            sum(math.comb(m, i) * math.comb(m + i, i) * z ** i for i in range(m + 1))
-        )
+        total = 0
+        z_power = z ** 0  # 1 in z's own type, so D_0 has the type of D_m
+        for t in binomial_products(m):
+            total += t * z_power
+            z_power *= z
+        out.append(total)
     return out
 
 

@@ -152,11 +152,26 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--family", "apery", "--r-max", "-1", "--p-max", "50"],
+    ["verify", "--family", "apery", "--r-max", "1", "--p-max", "3"],
+    ["verify", "--family", "delannoy_poly", "--r-max", "1", "--p-max", "50", "--z", "0"],
+    ["constants", "--family", "apery", "--r-max", "-3"],
+    ["constants", "--family", "apery", "--r-max", "2", "--z", "7"],
+], ids=["negative-r-max", "no-admissible-prime", "z-zero", "empty-table", "ignored-z"])
+def test_empty_runs_and_ignored_parameters_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "partible.cli", "verify", "--family",
-         "delannoy_number", "--r-max", "1", "--p-max", "12", "--jobs", "2"],
-        capture_output=True, text=True,
-    )
+    argv = [sys.executable, "-m", "partible.cli", "verify", "--family",
+            "delannoy_number", "--r-max", "1", "--p-max", "12"]
+    proc = subprocess.run(argv, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "passed=" in proc.stdout
+    proc = subprocess.run(argv + ["--jobs", "2"], capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --jobs" in proc.stderr

@@ -51,6 +51,12 @@ def test_derive_constant_rejections():
         derive_constant("apery", -1)
     with pytest.raises(ValueError):
         derive_constant("delannoy_number", 0, z=2)
+    with pytest.raises(ValueError):
+        derive_constant("apery", 1, z=7)
+    with pytest.raises(ValueError):
+        constant_table("apery", 2, z=7)
+    with pytest.raises(ValueError):
+        constant_table("apery", -3)
 
 
 def test_constant_table_denominator_structure():
@@ -132,11 +138,52 @@ def test_sweep_excludes_small_primes_for_apery():
     assert {rep.p for rep in reports} == {5, 7}
 
 
-def test_sweep_parallel_matches_serial():
-    serial = sweep("apery", 2, 40)
-    parallel = sweep("apery", 2, 40, jobs=2)
-    assert [r.to_dict() | {"elapsed": 0} for r in serial] == \
-           [r.to_dict() | {"elapsed": 0} for r in parallel]
+def test_sweep_rejects_empty_grids():
+    with pytest.raises(ValueError):
+        sweep("apery", -1, 50)
+    with pytest.raises(HypothesisViolation):
+        sweep("apery", 1, 3)
+    with pytest.raises(HypothesisViolation):
+        sweep("delannoy_poly", 1, 50, z_values=[0])
+    with pytest.raises(HypothesisViolation):
+        sweep("delannoy_poly", 1, 7, z_values=[1, 105])  # 3, 5, 7 all divide 105
+    with pytest.raises(HypothesisViolation):
+        sweep("delannoy_poly", 1, 50, z_values=[])
+    with pytest.raises(HypothesisViolation):
+        sweep("apery", 1, 50, z_values=[])
+    with pytest.raises(ValueError):
+        sweep("apery", 1, 50, power_parity="even")
+
+
+def test_sweep_matches_direct_verify():
+    # sweep reduces terms once per prime and shares constants; a direct
+    # verify call generates its own terms and derives its own constant
+    def cell(rep):
+        out = rep.to_dict()
+        del out["elapsed"]
+        return out
+
+    cases = [
+        ("apery", None, None),
+        ("apery_signed", None, None),
+        ("delannoy_number", None, "even"),
+        ("delannoy_number", None, "odd"),
+        ("delannoy_poly", [-7, 1, 4], "odd"),
+        ("delannoy_poly", [-7, 1, 4], "even"),
+    ]
+    r_max, p_max = 1, 30  # each direct even delannoy_poly cell derives c_r(z)
+    for family, zs, parity in cases:
+        swept = sweep(family, r_max, p_max, z_values=zs, power_parity=parity)
+        low = 5 if family.startswith("apery") else 3
+        direct = [
+            verify(family, r, p, z=z, power_parity=parity)
+            for r in range(r_max + 1)
+            for p in primes_in_range(low, p_max)
+            for z in (zs or [None])
+            if z is None or z % p
+        ]
+        assert all(rep.passed for rep in direct)
+        assert [cell(rep) for rep in swept] == [cell(rep) for rep in direct]
 
 
 def test_constants_do_not_depend_on_p():

@@ -7,7 +7,7 @@ import pytest
 
 from partible.operators import InsufficientTerms, annihilates
 from partible.poly import Polynomial
-from partible.ratfunc import Z
+from partible.ratfunc import RationalFunction, Z
 from partible.sequences import (
     UnknownFamily,
     apery_operator,
@@ -45,6 +45,25 @@ def test_delannoy_poly_terms():
     assert delannoy_poly_terms(6, 0) == [1] * 6
     assert delannoy_poly_terms(3, 1)[2] == 13
     assert delannoy_number_terms(4) == [1, 3, 13, 63]
+
+
+def test_ratio_generators_match_comb_definitions():
+    from math import comb
+    n = 151
+    apery = [sum(comb(m, j) ** 2 * comb(m + j, j) ** 2 for j in range(m + 1))
+             for m in range(n)]
+    assert apery_terms(n) == apery
+    assert apery_signed_terms(n) == [(-1) ** m * a for m, a in enumerate(apery)]
+    for z in (0, 1, -7, Fraction(3, 2)):
+        assert delannoy_poly_terms(n, z) == [
+            sum(comb(m, i) * comb(m + i, i) * z ** i for i in range(m + 1))
+            for m in range(n)
+        ]
+    # Q(z) arithmetic is slow, so the symbolic check stops earlier
+    assert delannoy_poly_terms(40, Z) == [
+        RationalFunction([comb(m, i) * comb(m + i, i) for i in range(m + 1)])
+        for m in range(40)
+    ]
 
 
 def test_delannoy_parameter_consistency():
