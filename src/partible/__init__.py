@@ -50,8 +50,6 @@ from .poly import (
     falling_factorial_value,
     parity_support,
     parse_polynomial,
-    poly_eval,
-    poly_shift,
     poly_to_text,
 )
 from .ratfunc import RationalFunction, Z

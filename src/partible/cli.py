@@ -8,6 +8,7 @@ hypotheses).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -16,7 +17,7 @@ from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import parse_polynomial, poly_to_text
 from .ratfunc import RationalFunction
-from .reduction import find_gamma, gamma_candidates, is_partible, reduce
+from .reduction import PartibleCertificate, gamma_candidates, reduce
 from .sequences import guess_annihilator
 
 
@@ -50,8 +51,11 @@ def cmd_profile(args) -> int:
 
 def cmd_gamma(args) -> int:
     L = _load_operator(args.operator)
-    candidates = gamma_candidates(L)
-    cert = is_partible(L)
+    prof = profile(L)
+    candidates = gamma_candidates(L, prof)
+    # is_partible's rule, without a second profile and center search
+    cert = (PartibleCertificate(candidates[0], prof.d, L.order)
+            if candidates and not prof.roots else None)
     data = {
         "gamma": _value_text(candidates[0]) if candidates else None,
         "candidates": [_value_text(c) for c in candidates],
@@ -126,7 +130,9 @@ def cmd_guess(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="partible",
         description="Polynomial reduction for holonomic sequences and the "

@@ -111,11 +111,19 @@ class ConstantTable:
     z_in_denominator: bool = False
 
 
+_TRIAL_LIMIT = 10_000
+
+
 def _prime_factors(n: int) -> set[int]:
+    """The primes below _TRIAL_LIMIT dividing n, plus what is left of n after them.
+
+    A leftover below _TRIAL_LIMIT^2 is prime; a larger one is reported
+    unfactored, so no denominator can make this search hang.
+    """
     n = abs(n)
     out = set()
     f = 2
-    while f * f <= n:
+    while f * f <= n and f < _TRIAL_LIMIT:
         while n % f == 0:
             out.add(f)
             n //= f
@@ -154,11 +162,12 @@ def delannoy_ring_check(c) -> bool:
     prime in the numeric denominators is 2.
     """
     if not isinstance(c, RationalFunction):
-        return _prime_factors(Fraction(c).denominator) <= {2}
-    den = c.denominator
-    if any(den[i] for i in range(len(den) - 1)):
+        n = Fraction(c).denominator
+    elif any(c.denominator[:-1]):
         return False
-    return _prime_factors(_denominator_content(c)) <= {2}
+    else:
+        n = _denominator_content(c)
+    return n & (n - 1) == 0  # a power of 2
 
 
 def integrality_check(table: ConstantTable, p: int) -> bool:

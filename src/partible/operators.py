@@ -9,10 +9,12 @@ on.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_gcd, poly_to_text
 from .ratfunc import RationalFunction
 
@@ -123,75 +125,81 @@ def profile(L: ShiftOperator) -> ReductionProfile:
     return ReductionProfile(d, tuple(b), indicator, frozenset(integer_roots(indicator)))
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
+def _horner(cs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(cs):
+        acc = acc * x + c
+    return acc
+
+
+def _monic_integer_roots(h: list[int]) -> list[int]:
+    """Integer roots of a monic squarefree integer polynomial (low degree first).
+
+    The roots mod the smallest prime p at which all of them are simple are
+    Newton-lifted until p^(2^i) exceeds twice the Cauchy bound; a symmetric
+    residue is kept only if it is a root exactly.
+    """
+    if len(h) == 2:
+        return [-h[0]]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    p = 2
+    while True:
+        if is_prime(p):
+            mod_roots = [r for r in range(p) if _horner(h, r) % p == 0]
+            if all(_horner(dh, r) % p for r in mod_roots):
+                break
+        p += 1
+    bound = 1 + max(abs(c) for c in h[:-1])
     out = []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            out.append(i)
-            if i != n // i:
-                out.append(n // i)
-        i += 1
-    return sorted(out)
+    for r in mod_roots:
+        m = p
+        while m <= 2 * bound:
+            m *= m
+            r = (r - _horner(h, r) * pow(_horner(dh, r), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if _horner(h, y) == 0:
+            out.append(y)
+    return out
 
 
-def _nonneg_integer_roots_q(f: Polynomial) -> set[int]:
-    roots = set()
-    coeffs = [Fraction(c.as_fraction() if isinstance(c, RationalFunction) else c)
-              for c in f.coeffs]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    v = 0
-    while ints[v] == 0:
-        v += 1
-    if v > 0:
-        roots.add(0)
-        ints = ints[v:]
-    if len(ints) > 1:
-        g = Polynomial(ints)
-        for cand in _divisors(ints[0]):
-            if g.eval(cand) == 0:
-                roots.add(cand)
-    return roots
+def rational_roots(f: Polynomial) -> list:
+    """The distinct roots in Q of a nonzero f, ascending, found without factoring.
 
-
-def integer_roots(f: Polynomial) -> set[int]:
-    """Nonnegative integers s with f(s) = 0.
-
-    Over Q(z) a root must satisfy f(s) = 0 identically in z, so the
-    z-coefficient polynomials are collected and their gcd is searched.
+    Over Q(z) a root must make f vanish identically in z: the candidates
+    are the roots at one specialization z = z0 where f stays nonzero.
+    Over Q the denominators are cleared and zero roots stripped; the monic
+    g(y) = lc^(n-1) f(y/lc) has the integer roots y = lc*x, which are
+    searched in its squarefree part g / gcd(g, g').
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    ratfun = [c for c in f.coeffs if isinstance(c, RationalFunction)]
-    if not any(not c.is_constant() for c in ratfun):
-        return _nonneg_integer_roots_q(f)
+    if any(isinstance(c, RationalFunction) and not c.is_constant() for c in f.coeffs):
+        for z0 in itertools.count(2):
+            try:
+                fz = Polynomial(c.evaluate(z0) if isinstance(c, RationalFunction) else c
+                                for c in f.coeffs)
+            except ZeroDivisionError:
+                continue
+            if fz:
+                return [r for r in rational_roots(fz) if not f.eval(r)]
+    qs = [c.as_fraction() if isinstance(c, RationalFunction) else c for c in f.coeffs]
+    den = math.lcm(*(q.denominator for q in qs))
+    ints = [int(q * den) for q in qs]
+    v = next(i for i, c in enumerate(ints) if c)
+    ints = ints[v:]
+    roots = [Fraction(0)] if v else []
+    n, lc = len(ints) - 1, ints[-1]
+    if n:
+        g = Polynomial([c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1])
+        if n > 1:
+            g = g // poly_gcd(g, g.hasse_derivative(1))
+        roots += (Fraction(y, lc) for y in _monic_integer_roots([int(c) for c in g.coeffs]))
+    return sorted(roots)
 
-    # clear denominators: multiply by the lcm of all coefficient denominators
-    common = (Fraction(1),)
-    from .ratfunc import _divmod as _zdivmod, _gcd as _zgcd, _mul as _zmul
 
-    for c in f.coeffs:
-        if isinstance(c, RationalFunction):
-            g = _zgcd(common, c.denominator)
-            common = _zmul(common, _zdivmod(c.denominator, g)[0])
-    numerators = []
-    for c in f.coeffs:
-        if isinstance(c, RationalFunction):
-            numerators.append(_zmul(c.numerator, _zdivmod(common, c.denominator)[0]))
-        else:
-            numerators.append(_zmul((Fraction(c),), common) if c else ())
-    zdeg = max((len(n) - 1 for n in numerators if n), default=0)
-    g = Polynomial()
-    for t in range(zdeg + 1):
-        gt = Polynomial(n[t] if t < len(n) else 0 for n in numerators)
-        if gt.is_zero:
-            continue
-        g = gt if g.is_zero else poly_gcd(g, gt)
-        if g.degree == 0:
-            return set()
-    return _nonneg_integer_roots_q(g)
+def integer_roots(f: Polynomial) -> set[int]:
+    """Nonnegative integers s with f(s) = 0 (identically in z over Q(z))."""
+    return {int(r) for r in rational_roots(f) if r.denominator == 1 and r >= 0}
 
 
 @dataclass(frozen=True)

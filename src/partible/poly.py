@@ -177,12 +177,36 @@ class Polynomial:
         return acc
 
     def subst_linear(self, a, b) -> "Polynomial":
-        """The polynomial k |-> p(a*k + b), computed by Horner."""
-        lin = Polynomial((b, a))
-        acc = Polynomial()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + c
-        return acc
+        """The polynomial k |-> p(a*k + b).
+
+        The shift by b runs in place on the coefficient list: n(n-1)/2
+        multiply-adds, the additive Taylor shift of von zur Gathen and
+        Gerhard.  Over Q with b = u/v it shifts the integer coefficients
+        of A(t) = D v^(n-1) p(t/v) by u, D clearing the denominators of p,
+        and divides back.  Coefficient i is then scaled by a^i.
+        """
+        cs = list(self.coeffs)
+        n = len(cs)
+        over_q = isinstance(b, (int, Fraction)) and all(isinstance(c, Fraction) for c in cs)
+        if over_q:
+            u, v = Fraction(b).as_integer_ratio()
+            den = math.lcm(*(c.denominator for c in cs))
+            cs = [c.numerator * (den // c.denominator) * v ** (n - 1 - i)
+                  for i, c in enumerate(cs)]
+        else:
+            u = b
+        if u:
+            for i in range(n - 1):
+                for j in range(n - 2, i - 1, -1):
+                    cs[j] = cs[j] + u * cs[j + 1]
+        if over_q:
+            cs = [Fraction(c, den * v ** (n - 1 - i)) for i, c in enumerate(cs)]
+        if a != 1:
+            power = a
+            for i in range(1, n):
+                cs[i] = cs[i] * power
+                power = power * a
+        return Polynomial(cs)
 
     def shift(self, c) -> "Polynomial":
         """Exact Taylor shift: the polynomial k |-> p(k + c)."""
@@ -202,14 +226,6 @@ class Polynomial:
         return poly_to_text(self)
 
 
-def poly_shift(p: Polynomial, c) -> Polynomial:
-    return p.shift(c)
-
-
-def poly_eval(p: Polynomial, v):
-    return p.eval(v)
-
-
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the coefficient field."""
     while g:
@@ -226,11 +242,7 @@ def expand_in_center(p: Polynomial, gamma) -> list:
 
 def assemble_from_center(coeffs, gamma) -> Polynomial:
     """Inverse of expand_in_center."""
-    shifted = Polynomial((-gamma, 1))
-    acc = Polynomial()
-    for c in reversed(list(coeffs)):
-        acc = acc * shifted + c
-    return acc
+    return Polynomial(coeffs).shift(-gamma)
 
 
 def parity_support(coeffs) -> str:
@@ -432,8 +444,6 @@ __all__ = [
     "falling_factorial_value",
     "parity_support",
     "parse_polynomial",
-    "poly_eval",
     "poly_gcd",
-    "poly_shift",
     "poly_to_text",
 ]

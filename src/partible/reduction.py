@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .operators import ReductionProfile, ShiftOperator, adjoint_apply
+from .operators import ReductionProfile, ShiftOperator, adjoint_apply, rational_roots
 from .operators import profile as operator_profile
 from .poly import Polynomial, assemble_from_center, poly_gcd
 from .ratfunc import RationalFunction
@@ -103,59 +103,15 @@ def _symmetry_constraints(L: ShiftOperator, d: int) -> list[Polynomial]:
     return constraints
 
 
-def _integerized(f: Polynomial) -> list[int]:
-    from math import gcd, lcm
-
-    coeffs = [c.as_fraction() if isinstance(c, RationalFunction) else c for c in f.coeffs]
-    den = lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * den) for c in coeffs]
-    g = gcd(*ints)
-    return [c // g for c in ints]
-
-
-def _rational_roots_q(f: Polynomial) -> list[Fraction]:
-    from .operators import _divisors
-
-    ints = _integerized(f)
-    roots = []
-    v = 0
-    while ints[v] == 0:
-        v += 1
-    if v:
-        roots.append(Fraction(0))
-        ints = ints[v:]
-    if len(ints) > 1:
-        g = Polynomial(ints)
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if cand not in roots and g.eval(cand) == 0:
-                        roots.append(cand)
-    return sorted(roots)
-
-
 def _field_roots(g: Polynomial) -> list:
     """Roots of g inside its own coefficient field.
 
     Degree one always solves exactly; beyond that, roots are searched
-    among rationals (a specialization of z prunes the candidates first).
+    among rationals.
     """
     if g.degree == 1:
         return [-g.coefficient(0) / g.coefficient(1)]
-    if all(not isinstance(c, RationalFunction) or c.is_constant() for c in g.coeffs):
-        return _rational_roots_q(g)
-    for z0 in (Fraction(5), Fraction(7), Fraction(11), Fraction(13)):
-        try:
-            gz = Polynomial(
-                c.evaluate(z0) if isinstance(c, RationalFunction) else c
-                for c in g.coeffs
-            )
-        except ZeroDivisionError:
-            continue
-        if gz.is_zero or gz.degree < g.degree:
-            continue
-        return [r for r in _rational_roots_q(gz) if g.eval(r) == 0]
-    return []
+    return rational_roots(g)
 
 
 def gamma_candidates(L: ShiftOperator, prof: ReductionProfile | None = None) -> list:

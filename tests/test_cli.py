@@ -175,3 +175,35 @@ def test_console_entry_point():
     proc = subprocess.run(argv + ["--jobs", "2"], capture_output=True, text=True)
     assert proc.returncode == 2
     assert "unrecognized arguments: --jobs" in proc.stderr
+
+
+def _run_cli(args, timeout=10):
+    """python -m partible.cli under a timeout, so a hang fails the test."""
+    return subprocess.run([sys.executable, "-m", "partible.cli", *args],
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def test_profile_and_gamma_with_30_digit_indicator_constant(tmp_path):
+    n = 10 ** 29 + 12345
+    op = tmp_path / "big.json"
+    op.write_text(json.dumps({"order": 1, "coeffs": [f"-(k - {n})", "k"], "field": "Q"}))
+    proc = _run_cli(["profile", "--operator", str(op)])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["indicator"] == f"-s + {n - 1}"
+    assert data["roots"] == [n - 1] and data["nondegenerate"] is False
+    proc = _run_cli(["gamma", "--operator", str(op)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"gamma": f"{(n + 1) // 2}", "candidates": [f"{(n + 1) // 2}"],
+                                       "partible": False, "order": 1}
+
+
+def test_constants_with_large_prime_z_reports_unfactored_cofactor():
+    z = 100000000000000000039
+    proc = _run_cli(["constants", "--family", "delannoy_poly", "--z", str(z),
+                     "--r-max", "2", "--json"])
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["entries"][0] == {"r": 0, "c": f"1/{z}"}
+    support = data["denominator_support"]
+    assert z in support and all(n % z == 0 for n in support)  # reported, not factored

@@ -1,9 +1,12 @@
 """Shift operators: adjoints, profiles, certificates, telescoping."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from partible.operators import (
     Certificate,
@@ -16,6 +19,7 @@ from partible.operators import (
     operator_from_dict,
     operator_to_dict,
     profile,
+    rational_roots,
     telescope_sum_check,
 )
 from partible.poly import Polynomial
@@ -111,6 +115,37 @@ def test_integer_roots_over_qz():
     assert integer_roots(f) == {2}
     # z-dependent root only: z*s - 1 has no root independent of z
     assert integer_roots(zc * s - 1) == set()
+
+
+_BIG = 10 ** 29  # 30-digit roots
+_ROOTS = st.lists(st.tuples(
+    st.one_of(st.integers(-60, 60), st.integers(_BIG, 10 * _BIG - 1), st.integers(-10 * _BIG + 1, -_BIG)),
+    st.integers(1, 12),  # denominator
+    st.integers(1, 3),  # multiplicity
+), max_size=5)
+# k*s^2 - n with k*n not a square (or n negative): no rational root
+_QUADRATICS = st.lists(st.tuples(st.integers(1, 9), st.integers(-10 ** 6, 10 ** 6)).filter(
+    lambda kn: kn[1] < 0 or math.isqrt(kn[0] * kn[1]) ** 2 != kn[0] * kn[1]), max_size=2)
+
+
+@settings(deadline=2000, max_examples=80, derandomize=True)
+@given(_ROOTS, _QUADRATICS, st.integers(-30, 30).filter(bool), st.integers(1, 30), st.booleans())
+@example([(0, 1, 2), (-3, 1, 1), (5, 1, 3)], [], 1, 1, False)  # zero, negative, repeated
+@example([(2, 3, 1), (-7, 4, 2), (1, 2, 1)], [], 6, 5, False)  # non-monic rational roots
+@example([(_BIG + 7, 1, 1), (-(10 * _BIG - 1), 3, 2)], [(1, 2)], -5, 7, False)  # 30 digits
+@example([(4, 1, 1)], [(1, -1), (3, 2), (1, 5)], 1, 1, True)  # quadratic factors, over Q(z)
+def test_rational_roots_finds_planted_roots(roots, quadratics, lead, den, over_qz):
+    s = Polynomial.variable()
+    f = Polynomial.constant(Fraction(lead, den))
+    for num, q, mult in roots:
+        f = f * (q * s - num) ** mult
+    for k, n in quadratics:
+        f = f * (k * s ** 2 - n)
+    planted = {Fraction(num, q) for num, q, _ in roots}
+    if over_qz:  # the root 1/z is not in Q and must not be reported
+        f = f * (Polynomial.constant(Z) * s - 1)
+    assert rational_roots(f) == sorted(planted)
+    assert integer_roots(f) == {int(r) for r in planted if r.denominator == 1 and r >= 0}
 
 
 def test_certificate_matches_closed_forms():

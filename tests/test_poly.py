@@ -14,8 +14,6 @@ from partible.poly import (
     falling_factorial_value,
     parity_support,
     parse_polynomial,
-    poly_eval,
-    poly_shift,
     poly_to_text,
 )
 from partible.ratfunc import RationalFunction, Z
@@ -31,11 +29,11 @@ def test_construction_strips_trailing_zeros():
 
 
 def test_poly_shift_examples():
-    assert poly_shift(K ** 2, 1) == K ** 2 + 2 * K + 1
+    assert (K ** 2).shift(1) == K ** 2 + 2 * K + 1
     p = 3 * K ** 4 - K + Fraction(1, 2)
-    assert poly_shift(p, 0) == p
+    assert p.shift(0) == p
     # expand both sides independently
-    assert poly_shift((K + 1) ** 3, -2) == (K - 1) ** 3
+    assert ((K + 1) ** 3).shift(-2) == (K - 1) ** 3
     assert (K - 1) ** 3 == K ** 3 - 3 * K ** 2 + 3 * K - 1
 
 
@@ -44,13 +42,35 @@ def test_poly_shift_roundtrip():
     for _ in range(50):
         p = Polynomial([rng.randint(-9, 9) for _ in range(rng.randint(0, 8))])
         c = Fraction(rng.randint(-10, 10), rng.randint(1, 5))
-        assert poly_shift(poly_shift(p, c), -c) == p
+        assert p.shift(c).shift(-c) == p
+
+
+def _naive_subst(p, a, b):
+    lin = a * K + b
+    return sum(((c * lin ** i) for i, c in enumerate(p.coeffs)), Polynomial())
+
+
+def test_subst_linear_matches_naive_expansion():
+    rng = random.Random(7)
+    for _ in range(40):
+        p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                        for _ in range(rng.randint(0, 12))])
+        b = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        for a in (1, -1, Fraction(-2, 3)):
+            assert p.subst_linear(a, b) == _naive_subst(p, a, b)
+    # over Q(z): a rational-function shift and mixed coefficient types
+    p = Polynomial([Fraction(1, 3), Z, 0, 2 * Z - 1, Fraction(-5, 2)])
+    b = (Z + 1) / (Z - 2)
+    for a in (1, -1):
+        assert p.subst_linear(a, b) == _naive_subst(p, a, b)
+        assert p.subst_linear(a, Fraction(3, 4)) == _naive_subst(p, a, Fraction(3, 4))
+    assert Polynomial().subst_linear(-1, b).is_zero
 
 
 def test_poly_eval():
-    assert poly_eval(2 * K + 1, 3) == 7
-    assert poly_eval(Polynomial(), Fraction(123)) == 0
-    assert poly_eval((K + 1) ** 3 - K ** 3, 4) == 61
+    assert (2 * K + 1).eval(3) == 7
+    assert Polynomial().eval(Fraction(123)) == 0
+    assert ((K + 1) ** 3 - K ** 3).eval(4) == 61
     assert 125 - 64 == 61
 
 
