@@ -104,7 +104,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = sweep(args.family, args.r_max, args.p_max, z_values=args.z)
+    reports = sweep(args.family, args.r_max, args.p_max, z_values=args.z,
+                    power_parity=args.parity)
     for report in reports:
         print(json.dumps(report.to_dict()))
     failed = [rep for rep in reports if not rep.passed]
@@ -165,6 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-max", type=int, required=True)
     p.add_argument("--p-max", type=int, required=True)
     p.add_argument("--z", type=int, nargs="*", default=None)
+    p.add_argument("--parity", choices=("odd", "even"), default=None,
+                   help="check (2k+1)^(2r+1) or (2k+1)^(2r+2); default even for "
+                        "delannoy_number, odd otherwise")
     p.add_argument("--json", action="store_true",
                    help="emit only the JSON report lines, no summary")
     p.set_defaults(func=cmd_verify)

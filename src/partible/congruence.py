@@ -133,6 +133,27 @@ def _prime_factors(n: int) -> set[int]:
     return out
 
 
+def _add_coprime(support: set, n: int):
+    """Add n to a set of pairwise coprime integers > 1, splitting entries by gcd.
+
+    An entry s sharing g > 1 with n is replaced by g and s/g, and n by n/g;
+    the product of the pending values falls each time, so this ends.  A
+    large prime z met as z, z^2 and z^3 is listed once.
+    """
+    pending = [n]
+    while pending:
+        n = pending.pop()
+        if n == 1:
+            continue
+        s = next((s for s in support if math.gcd(n, s) > 1), None)
+        if s is None:
+            support.add(n)
+            continue
+        g = math.gcd(n, s)
+        support.remove(s)
+        pending += [g, s // g, n // g]
+
+
 def _denominator_content(c) -> int:
     """lcm of the denominators hiding in a constant (numeric part only)."""
     if isinstance(c, RationalFunction):
@@ -148,7 +169,8 @@ def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
     for r in range(r_max + 1):
         c = derive_constant(family, r, z=z)
         table.entries[r] = c
-        table.denominator_support |= _prime_factors(_denominator_content(c))
+        for q in _prime_factors(_denominator_content(c)):
+            _add_coprime(table.denominator_support, q)
         if isinstance(c, RationalFunction) and len(c.denominator) > 1:
             table.z_in_denominator = True
     return table

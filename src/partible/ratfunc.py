@@ -11,6 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+_ONE = (Fraction(1),)
+
+
 def _trim(coeffs) -> tuple:
     out = list(coeffs)
     while out and not out[-1]:
@@ -120,6 +123,18 @@ class RationalFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
+    @classmethod
+    def _canonical(cls, num: tuple, den: tuple = _ONE) -> "RationalFunction":
+        """num/den, given as trimmed Fraction tuples already in lowest terms, den monic.
+
+        Skips the gcd normalisation, e.g. for sums and products of
+        polynomials (den = 1) and for negation.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "num", num)
+        object.__setattr__(out, "den", den)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
@@ -135,7 +150,7 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         if isinstance(value, (int, Fraction)):
-            return RationalFunction((Fraction(value),))
+            return RationalFunction._canonical((Fraction(value),) if value else ())
         return None
 
     # -- ring/field operations -------------------------------------------
@@ -144,6 +159,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == _ONE == other.den:
+            return RationalFunction._canonical(_add(self.num, other.num))
         return RationalFunction(
             _add(_mul(self.num, other.den), _mul(other.num, self.den)),
             _mul(self.den, other.den),
@@ -152,7 +169,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(_neg(self.num), self.den)
+        return RationalFunction._canonical(_neg(self.num), self.den)
 
     def __pos__(self):
         return self
@@ -173,6 +190,8 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == _ONE == other.den:
+            return RationalFunction._canonical(_mul(self.num, other.num))
         return RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))
 
     __rmul__ = __mul__

@@ -14,12 +14,13 @@ parity-preserving reduction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply, rational_roots
 from .operators import profile as operator_profile
-from .poly import Polynomial, assemble_from_center, poly_gcd
+from .poly import Polynomial, poly_gcd
 from .ratfunc import RationalFunction
 
 
@@ -57,7 +58,8 @@ def reduce(Q: Polynomial, L: ShiftOperator, prof: ReductionProfile | None = None
     x = Polynomial()
     exceptional: dict = {}
     rem = Q
-    images: dict = {}
+    images: list = []
+    kernel = _adjoint_images(L, 0, 0)
     while not rem.is_zero and rem.degree >= d:
         s = int(rem.degree) - d
         lc = rem.leading
@@ -65,14 +67,27 @@ def reduce(Q: Polynomial, L: ShiftOperator, prof: ReductionProfile | None = None
             exceptional[s] = lc
             rem = rem - Polynomial.monomial(int(rem.degree), lc)
         else:
-            ps = images.get(s)
-            if ps is None:
-                ps = adjoint_apply(L, Polynomial.monomial(s))
-                images[s] = ps
+            while len(images) <= s:
+                images.append(next(kernel))
+            ps = images[s]
             coeff = lc / ps.leading
             x = x + Polynomial.monomial(s, coeff)
             rem = rem - coeff * ps
     return ReductionResult(x, exceptional, rem)
+
+
+def _adjoint_images(L: ShiftOperator, center, offset):
+    """Yield L*((k - center + offset)^j) at k = center + t for j = 0, 1, 2, ...
+
+    That is sum_i a_i(center + t - i) (t + offset - i)^j.  Each of its J+1
+    products is multiplied by its linear factor once per step, so image j
+    costs O(J (deg L + j)) operations and no Taylor shift.
+    """
+    terms = [a.shift(center - i) for i, a in enumerate(L.coeffs)]
+    factors = [Polynomial((offset - i, 1)) for i in range(len(terms))]
+    while True:
+        yield sum(terms, Polynomial())
+        terms = [term * f for term, f in zip(terms, factors)]
 
 
 # -- symmetry center ---------------------------------------------------------
@@ -103,17 +118,6 @@ def _symmetry_constraints(L: ShiftOperator, d: int) -> list[Polynomial]:
     return constraints
 
 
-def _field_roots(g: Polynomial) -> list:
-    """Roots of g inside its own coefficient field.
-
-    Degree one always solves exactly; beyond that, roots are searched
-    among rationals.
-    """
-    if g.degree == 1:
-        return [-g.coefficient(0) / g.coefficient(1)]
-    return rational_roots(g)
-
-
 def gamma_candidates(L: ShiftOperator, prof: ReductionProfile | None = None) -> list:
     """All centers satisfying the symmetry condition, in deterministic order.
 
@@ -126,12 +130,12 @@ def gamma_candidates(L: ShiftOperator, prof: ReductionProfile | None = None) -> 
         return [Fraction(0)]
     g = constraints[0]
     for e in constraints[1:]:
-        g = poly_gcd(g, e)
         if g.degree == 0:
-            return []
-    if g.degree == 0:
-        return []
-    return _field_roots(g)
+            break
+        g = poly_gcd(g, e)
+    if g.degree == 1:  # solved in the coefficient field: the center may depend on z
+        return [-g.coefficient(0) / g.coefficient(1)]
+    return rational_roots(g) if g.degree > 0 else []
 
 
 def find_gamma(L: ShiftOperator, prof: ReductionProfile | None = None):
@@ -149,6 +153,7 @@ class PartibleCertificate:
     order: int
 
 
+@functools.lru_cache(maxsize=8)
 def is_partible(L: ShiftOperator, prof: ReductionProfile | None = None) -> PartibleCertificate | None:
     """Certificate for a nondegenerate operator with a symmetry center."""
     prof = prof if prof is not None else operator_profile(L)
@@ -168,10 +173,9 @@ def _certificate_holds(L: ShiftOperator, cert: PartibleCertificate) -> bool:
     if prof.roots or prof.d != cert.d:
         return False
     sign = -1 if cert.d % 2 else 1
-    gamma = cert.gamma
     for i in range(J // 2 + 1):
-        lhs = L.coeffs[i].shift(gamma)
-        rhs = L.coeffs[J - i].subst_linear(-1, gamma - J)
+        lhs = L.coeffs[i].shift(cert.gamma)
+        rhs = L.coeffs[J - i].subst_linear(-1, cert.gamma - J)
         if lhs != sign * rhs:
             return False
     return True
@@ -180,25 +184,17 @@ def _certificate_holds(L: ShiftOperator, cert: PartibleCertificate) -> bool:
 # -- parity-preserving reduction ----------------------------------------------
 
 
-def _as_constant_fraction(gamma):
-    if isinstance(gamma, RationalFunction):
-        if not gamma.is_constant():
-            return None
-        return gamma.as_fraction()
-    if isinstance(gamma, (int, Fraction)):
-        return Fraction(gamma)
-    return None
-
-
 def center_scale(gamma) -> int:
     """2 for half-integral centers, else 1.
 
     With a half-integral center the scaled variable 2(k - gamma) has
     integer values on integers (it is 2k+1 for gamma = -1/2), so the
-    reduction is carried out in its powers.
+    reduction is carried out in its powers.  A center depending on z
+    has scale 1.
     """
-    q = _as_constant_fraction(gamma)
-    return 2 if q is not None and q.denominator == 2 else 1
+    if isinstance(gamma, RationalFunction):
+        gamma = gamma.as_fraction() if gamma.is_constant() else 0
+    return 2 if Fraction(gamma).denominator == 2 else 1
 
 
 def default_alpha(gamma):
@@ -212,6 +208,40 @@ def basis_element(cert: PartibleCertificate, s: int, alpha_s) -> Polynomial:
     """x_s(k) = alpha_s (k - gamma + J/2)^s."""
     lin = Polynomial((Fraction(cert.order, 2) - cert.gamma, 1))
     return alpha_s * lin ** s
+
+
+class AdjointBasis:
+    """The images L*((k - gamma + J/2)^j) of one certified operator, centred at gamma.
+
+    The certificate is checked once.  Images are built lazily by
+    _adjoint_images; each is audited once, when first used, against
+    adjoint_apply on the basis element: an independent path in k.
+    """
+
+    def __init__(self, L: ShiftOperator, cert: PartibleCertificate):
+        if not _certificate_holds(L, cert):
+            raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
+        self.L, self.cert = L, cert
+        self._kernel = _adjoint_images(L, cert.gamma, Fraction(cert.order, 2))
+        self._images: list = []
+        self._audited: set = set()
+
+    def image(self, j: int) -> Polynomial:
+        """L*(x_j) for alpha_j = 1, as a polynomial in t = k - gamma."""
+        while len(self._images) <= j:
+            self._images.append(next(self._kernel))
+        image = self._images[j]
+        if j not in self._audited:
+            if image.shift(-self.cert.gamma) != adjoint_apply(self.L, basis_element(self.cert, j, 1)):
+                raise AssertionError(f"adjoint image {j} failed exactness audit")
+            self._audited.add(j)
+        return image
+
+
+@functools.lru_cache(maxsize=8)
+def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate) -> AdjointBasis:
+    """The shared AdjointBasis of (L, cert); raises NotPartible for a false certificate."""
+    return AdjointBasis(L, cert)
 
 
 @dataclass
@@ -233,79 +263,55 @@ class PartibleReduction:
     v_coeffs: dict
     alphas: dict = field(default_factory=dict)
 
-    def reassemble(self, L: ShiftOperator, cert: PartibleCertificate) -> Polynomial:
-        w_coeffs = [Fraction(0)] * (max(self.u_coeffs, default=0) + 1)
-        for i, u in self.u_coeffs.items():
-            w_coeffs[i] = u * Fraction(self.basis_scale) ** i
-        total = assemble_from_center(w_coeffs, self.gamma)
-        for j, v in self.v_coeffs.items():
-            total = total + v * adjoint_apply(L, basis_element(cert, j, self.alphas[j]))
-        return total
-
 
 def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=None) -> PartibleReduction:
     """Reduce w^m, w = basis_scale*(k - gamma), keeping only same-parity powers.
 
-    Works downward from degree m in the centered coordinates: the top
-    term is cancelled with L*(x_j) for j = deg - d, whose expansion at
-    the center contains only powers of matching parity.  The surviving
-    coefficients below degree d are the u_i.  The decomposition is
-    reassembled and compared with w^m before returning.
+    Back-substitution against adjoint_basis(L, cert), downward from degree
+    m in the centered coordinates: a term of degree >= d is cancelled with
+    L*(x_j) for j = deg - d, whose expansion at the center contains only
+    powers of matching parity; the terms below degree d are the u_i.  The
+    identity above is checked in centered coordinates before returning.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    if not _certificate_holds(L, cert):
-        raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
+    basis = adjoint_basis(L, cert)
     d = cert.d
-    gamma = cert.gamma
     if alpha is None:
-        alpha = default_alpha(gamma)
-    beta = center_scale(gamma)
+        alpha = default_alpha(cert.gamma)
+    beta = center_scale(cert.gamma)
 
     # coefficient vector of w^m in powers of (k - gamma)
     coeffs = [Fraction(0)] * (m + 1)
     coeffs[m] = Fraction(beta) ** m
-    v_coeffs: dict = {}
-    alphas: dict = {}
-    for target in range(m, max(d, 0) - 1, -1):
+    u_coeffs, v_coeffs, alphas = {}, {}, {}
+    for target in range(m, -1, -1):
         c = coeffs[target]
         if not c:
             continue
         if (m - target) % 2:
-            raise NotPartible(
-                f"parity leak at degree {target} while reducing power {m}"
-            )
+            raise NotPartible(f"parity leak at degree {target} while reducing power {m}")
+        if target < d:
+            u_coeffs[target] = c / Fraction(beta) ** target
+            continue
         j = target - d
-        a_j = alpha(j)
-        image = adjoint_apply(L, basis_element(cert, j, a_j))
-        centered = image.shift(gamma).coeffs
+        centered = basis.image(j).coeffs
         if len(centered) - 1 != target:
-            raise NotPartible(
-                f"L*(x_{j}) has degree {len(centered) - 1}, expected {target}"
-            )
-        vj = c / centered[target]
-        v_coeffs[j] = vj
-        alphas[j] = a_j
+            raise NotPartible(f"L*(x_{j}) has degree {len(centered) - 1}, expected {target}")
+        step = c / centered[target]
         for idx, pc in enumerate(centered):
-            coeffs[idx] = coeffs[idx] - vj * pc
+            coeffs[idx] = coeffs[idx] - step * pc
+        alphas[j] = alpha(j)
+        v_coeffs[j] = step / alphas[j]
+    if any(coeffs[max(d, 0):]):
+        raise AssertionError("reduction left a term above the remainder degree")
 
-    u_coeffs = {}
-    for i in range(min(len(coeffs), max(d, 0))):
-        if coeffs[i]:
-            if (m - i) % 2:
-                raise NotPartible(
-                    f"parity leak at degree {i} while reducing power {m}"
-                )
-            u_coeffs[i] = coeffs[i] / Fraction(beta) ** i
-    for i in range(max(d, 0), len(coeffs)):
-        if coeffs[i]:
-            raise AssertionError("reduction left a term above the remainder degree")
-
-    result = PartibleReduction(m, gamma, beta, u_coeffs, v_coeffs, alphas)
-    lin = Polynomial((-gamma, 1))
-    if result.reassemble(L, cert) != (beta * lin) ** m:
+    total = Polynomial([u_coeffs.get(i, 0) * Fraction(beta) ** i for i in range(max(d, 0))])
+    for j, v in v_coeffs.items():
+        total = total + v * alphas[j] * basis.image(j)
+    if total != Polynomial.monomial(m, Fraction(beta) ** m):
         raise AssertionError("reduction identity failed exactness audit")
-    return result
+    return PartibleReduction(m, cert.gamma, beta, dict(sorted(u_coeffs.items())), v_coeffs, alphas)
 
 
 def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, alpha_s=None) -> list:
@@ -314,10 +320,7 @@ def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, al
     For the half-integral centers of the built-in operators this is the
     (2k+1)-power basis.
     """
-    if not _certificate_holds(L, cert):
-        raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
     if alpha_s is None:
         alpha_s = default_alpha(cert.gamma)(s)
-    image = adjoint_apply(L, basis_element(cert, s, alpha_s))
-    centered = image.shift(cert.gamma).coeffs
-    return [c / Fraction(2) ** i for i, c in enumerate(centered)]
+    image = adjoint_basis(L, cert).image(s)
+    return [alpha_s * c / Fraction(2) ** i for i, c in enumerate(image.coeffs)]

@@ -108,6 +108,18 @@ def test_verify_command_passes(capsys):
     assert all(row["passed"] for row in rows)
 
 
+def test_verify_parity_flag_checks_symbolic_delannoy_constants(capsys):
+    assert main(["verify", "--family", "delannoy_poly", "--parity", "even", "--r-max", "2",
+                 "--p-max", "40", "--z", "2", "3", "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3 * (11 + 10)  # r <= 2; the odd primes <= 40 prime to z = 2 and 3
+    assert all(row["passed"] and row["power"] == 2 * row["r"] + 2 for row in rows)
+    assert main(["verify", "--family", "delannoy_number", "--parity", "odd", "--r-max", "1",
+                 "--p-max", "20", "--json"]) == 0
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows and all(row["passed"] and row["power"] == 2 * row["r"] + 1 for row in rows)
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = CongruenceReport(
         family="apery", r=0, p=5, e=3, power=1, z=None,
@@ -158,7 +170,9 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["verify", "--family", "delannoy_poly", "--r-max", "1", "--p-max", "50", "--z", "0"],
     ["constants", "--family", "apery", "--r-max", "-3"],
     ["constants", "--family", "apery", "--r-max", "2", "--z", "7"],
-], ids=["negative-r-max", "no-admissible-prime", "z-zero", "empty-table", "ignored-z"])
+    ["verify", "--family", "apery", "--parity", "even", "--r-max", "2", "--p-max", "40"],
+], ids=["negative-r-max", "no-admissible-prime", "z-zero", "empty-table", "ignored-z",
+        "apery-even-parity"])
 def test_empty_runs_and_ignored_parameters_exit_2(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -205,5 +219,4 @@ def test_constants_with_large_prime_z_reports_unfactored_cofactor():
     assert proc.returncode == 0, proc.stderr
     data = json.loads(proc.stdout)
     assert data["entries"][0] == {"r": 0, "c": f"1/{z}"}
-    support = data["denominator_support"]
-    assert z in support and all(n % z == 0 for n in support)  # reported, not factored
+    assert data["denominator_support"] == [z]  # reported once, not factored

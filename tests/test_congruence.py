@@ -1,11 +1,13 @@
 """Constant derivation and exact congruence verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from partible.congruence import (
     HypothesisViolation,
+    _add_coprime,
     constant_table,
     delannoy_ring_check,
     derive_constant,
@@ -68,6 +70,27 @@ def test_constant_table_denominator_structure():
     assert sym.z_in_denominator
     for c in sym.entries.values():
         assert delannoy_ring_check(c)
+
+
+def test_denominator_support_is_pairwise_coprime():
+    big = 100000000000000000039
+    tables = [constant_table("apery", 10), constant_table("apery_signed", 10),
+              constant_table("delannoy_poly", 6)]
+    tables += [constant_table("delannoy_poly", 4, z=z) for z in (6, -12, 30, big, 3 * big)]
+    for table in tables:
+        support = sorted(table.denominator_support)
+        assert all(n > 1 for n in support)
+        assert all(math.gcd(a, b) == 1 for i, a in enumerate(support) for b in support[i + 1:])
+    assert tables[-2].denominator_support == {big}
+    assert tables[-1].denominator_support == {3, big}
+
+
+def test_add_coprime_splits_shared_factors():
+    p, q, r = 10 ** 9 + 7, 10 ** 9 + 9, 998244353
+    support = set()
+    for n in (p * q, q * r, p ** 3, r):
+        _add_coprime(support, n)
+    assert support == {p, q, r}
 
 
 def test_integrality_check():

@@ -1,9 +1,12 @@
 """Polynomials over Q and Q(z): arithmetic, shifts, centered expansions, text."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partible.poly import (
     NEG_INF,
@@ -90,6 +93,32 @@ def test_eval_commutes_with_arithmetic_over_qz():
         assert (a * b).evaluate(z0) == va * vb
         if vb and b:
             assert (a / b).evaluate(z0) == va / vb
+
+
+_POLY_COEFFS = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6), max_size=6)
+
+
+@settings(max_examples=100, derandomize=True)
+@given(_POLY_COEFFS, _POLY_COEFFS, st.fractions(min_value=-5, max_value=5, max_denominator=4))
+def test_polynomial_fast_path_matches_normalising_constructor(a, b, c):
+    # sums, differences and products of polynomials in z skip the gcd; the
+    # constructor, fed the naive coefficient lists, must give the same fields
+    ra, rb = RationalFunction(a), RationalFunction(b)
+    pairs = list(itertools.zip_longest(a, b, fillvalue=0))
+    product = [sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b))
+               for n in range(len(a) + len(b) - 1)]
+    cases = [
+        (ra + rb, [x + y for x, y in pairs]),
+        (ra - rb, [x - y for x, y in pairs]),
+        (ra * rb, product),
+        (-ra, [-x for x in a]),
+        (ra + c, [a[0] + c if a else c] + a[1:]),
+        (c * ra, [c * x for x in a]),
+    ]
+    for fast, coeffs in cases:
+        full = RationalFunction(coeffs)
+        assert (fast.num, fast.den) == (full.num, full.den)
+        assert all(type(x) is Fraction for x in fast.num + fast.den)
 
 
 def test_expand_in_center_examples():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from partible import reduction
+from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile
 from partible.poly import Polynomial, expand_in_center, parity_support
 from partible.ratfunc import RationalFunction, Z
@@ -235,3 +237,40 @@ def test_partible_reduce_over_symbolic_field():
     assert red.u_coeffs == {0: 1 / Z}
     red4 = partible_reduce(4, D, cert)
     assert red4.u_coeffs == {0: (4 * Z + 9) / Z ** 2}
+
+
+@pytest.fixture
+def fresh_bases():
+    """Empty the shared basis cache before and after, so no patched basis leaks."""
+    reduction.adjoint_basis.cache_clear()
+    yield
+    reduction.adjoint_basis.cache_clear()
+
+
+def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
+    kernel = reduction._adjoint_images
+
+    def one_wrong_image(L, center, offset):
+        for j, image in enumerate(kernel(L, center, offset)):
+            yield image + K ** 2 if j == 2 else image
+
+    monkeypatch.setattr(reduction, "_adjoint_images", one_wrong_image)
+    L = apery_operator()
+    assert partible_reduce(3, L, is_partible(L)).v_coeffs == {0: Fraction(-1, 8)}
+    with pytest.raises(AssertionError, match="exactness audit"):
+        partible_reduce(5, L, is_partible(L))
+
+
+def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases):
+    calls = []
+
+    def counting(L, x):
+        calls.append(x)
+        return adjoint_apply(L, x)
+
+    monkeypatch.setattr(reduction, "adjoint_apply", counting)
+    table = constant_table("apery", 20)
+    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each audited once
+    assert len(calls) == 20 and len(set(calls)) == 20
+    assert table.entries[20] == constant_table("apery", 20).entries[20]
+    assert len(calls) == 20  # the second table reuses the cached basis
