@@ -46,7 +46,6 @@ from .operators import (
 from .poly import (
     Polynomial,
     PolynomialSyntaxError,
-    expand_in_center,
     falling_factorial_value,
     parity_support,
     parse_polynomial,

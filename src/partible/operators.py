@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_gcd, poly_to_text
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, _horner
 
 
 class InsufficientTerms(ValueError):
@@ -122,13 +122,6 @@ def profile(L: ShiftOperator) -> ReductionProfile:
                 indicator = indicator + c * falling
     # never zero: some b_l attains degree d+l, and the falling factorials are a basis
     return ReductionProfile(d, tuple(b), indicator, frozenset(integer_roots(indicator)))
-
-
-def _horner(cs: list[int], x: int) -> int:
-    acc = 0
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
 
 
 def _monic_integer_roots(h: list[int]) -> list[int]:
@@ -280,7 +273,10 @@ def operator_from_dict(data: dict) -> ShiftOperator:
         raise ValueError(f"operator JSON is missing {exc}") from None
     if field not in ("Q", "Q(z)"):
         raise ValueError(f"unknown field {field!r}")
-    if not isinstance(coeffs, list) or len(coeffs) != order + 1:
+    if type(order) is not int or order < 0:
+        raise ValueError(f"operator order must be a nonnegative integer, got {order!r}")
+    if (not isinstance(coeffs, list) or len(coeffs) != order + 1
+            or not all(isinstance(text, str) for text in coeffs)):
         raise ValueError("operator JSON needs order+1 coefficient strings")
     polys = [parse_polynomial(text, field) for text in coeffs]
     if polys[-1].is_zero:

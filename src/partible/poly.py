@@ -1,7 +1,8 @@
 """Dense univariate polynomials in k over an exact coefficient field.
 
 Coefficients are Fraction (field Q) or RationalFunction (field Q(z)) and
-may mix within one polynomial; all arithmetic stays exact.  The same
+may mix within one polynomial; all arithmetic stays exact and runs on the
+coefficient-tuple kernel of the ratfunc module.  The same
 class also serves for polynomials in other formal variables (the
 indicator variable s, the symmetry-center unknown), since the variable
 name only matters when printing.
@@ -12,7 +13,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .ratfunc import RationalFunction, Z
+from .ratfunc import (
+    RationalFunction, Z, _add, _divmod, _gcd, _horner, _mul, _neg, _pow, _scale, format_coeffs,
+)
 
 #: degree of the zero polynomial
 NEG_INF = float("-inf")
@@ -24,6 +27,15 @@ def _coerce(c):
     if isinstance(c, (Fraction, RationalFunction)):
         return c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+
+def _operand(x):
+    """Coefficients of a polynomial or scalar operand; None for anything else."""
+    if isinstance(x, Polynomial):
+        return x.coeffs
+    if isinstance(x, (int, Fraction, RationalFunction)):
+        return Polynomial((x,)).coeffs
+    return None
 
 
 class Polynomial:
@@ -82,11 +94,8 @@ class Polynomial:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self.coeffs == Polynomial((other,)).coeffs
-        return NotImplemented
+        other = _operand(other)
+        return NotImplemented if other is None else self.coeffs == other
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -94,38 +103,26 @@ class Polynomial:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Polynomial):
-            n = max(len(self.coeffs), len(other.coeffs))
-            return Polynomial(
-                self.coefficient(i) + other.coefficient(i) for i in range(n)
-            )
-        if isinstance(other, (int, Fraction, RationalFunction)):
-            return self + Polynomial((other,))
-        return NotImplemented
+        other = _operand(other)
+        return NotImplemented if other is None else Polynomial(_add(self.coeffs, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(-c for c in self.coeffs)
+        return Polynomial(_neg(self.coeffs))
 
     def __sub__(self, other):
-        out = self + (-other if isinstance(other, Polynomial) else -_coerce(other))
-        return out
+        other = _operand(other)
+        return NotImplemented if other is None else Polynomial(_add(self.coeffs, _neg(other)))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            return Polynomial(_mul(self.coeffs, other.coeffs))
         if isinstance(other, (int, Fraction, RationalFunction)):
-            return Polynomial(c * other for c in self.coeffs)
+            return Polynomial(_scale(self.coeffs, other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -133,33 +130,14 @@ class Polynomial:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        out = Polynomial((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return Polynomial(_pow(self.coeffs, n))
 
     def __divmod__(self, other):
-        if not isinstance(other, Polynomial):
-            other = Polynomial((other,))
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree
-        if self.degree < db:
-            return Polynomial(), self
-        rem = list(self.coeffs)
-        inv = 1 / other.leading
-        quo = [Fraction(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i] * inv
-            if c:
-                quo[i - db] = c
-                for j, bc in enumerate(other.coeffs):
-                    rem[i - db + j] = rem[i - db + j] - c * bc
-        return Polynomial(quo), Polynomial(rem[:db])
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        quo, rem = _divmod(self.coeffs, other)
+        return Polynomial(quo), Polynomial(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -171,10 +149,7 @@ class Polynomial:
 
     def eval(self, v):
         """Exact Horner evaluation; the zero polynomial gives 0."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        return _horner(self.coeffs, v)
 
     def subst_linear(self, a, b) -> "Polynomial":
         """The polynomial k |-> p(a*k + b).
@@ -228,21 +203,7 @@ class Polynomial:
 
 def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic greatest common divisor over the coefficient field."""
-    while g:
-        f, g = g, f % g
-    if f:
-        f = f * (1 / f.leading)
-    return f
-
-
-def expand_in_center(p: Polynomial, gamma) -> list:
-    """Coefficients c_i with p(k) = sum c_i (k - gamma)^i."""
-    return list(p.shift(gamma).coeffs)
-
-
-def assemble_from_center(coeffs, gamma) -> Polynomial:
-    """Inverse of expand_in_center."""
-    return Polynomial(coeffs).shift(-gamma)
+    return Polynomial(_gcd(f.coeffs, g.coeffs))
 
 
 def parity_support(coeffs) -> str:
@@ -279,7 +240,8 @@ class PolynomialSyntaxError(ValueError):
         self.column = column
 
 
-_TOKEN_CHARS = {"+", "-", "*", "/", "^", "(", ")"}
+#: the largest exponent, and the largest degree of a power, the parser accepts
+MAX_EXPONENT = 1000
 
 
 class _Parser:
@@ -357,7 +319,11 @@ class _Parser:
             self.pos += 1
             if self.peek() == "":
                 self.error("missing exponent")
+            at = self.pos
             n = self.integer()
+            if n > MAX_EXPONENT or n * base.degree > MAX_EXPONENT:
+                self.pos = at
+                self.error(f"exponent or power degree above {MAX_EXPONENT}")
             return base ** n
         return base
 
@@ -399,48 +365,15 @@ def parse_polynomial(text: str, field: str = "Q") -> Polynomial:
     return _Parser(text, field).parse()
 
 
-def _coeff_piece(c):
-    """(sign, body) for one coefficient; body never starts with a sign."""
-    if isinstance(c, RationalFunction) and c.is_constant():
-        c = c.as_fraction()
-    if isinstance(c, Fraction):
-        return ("-", str(-c)) if c < 0 else ("+", str(c))
-    text = str(c)
-    # "(num)/(den)" is already unambiguous inside a product; bare numerators
-    # like "2*z + 1" need wrapping
-    if not text.startswith("("):
-        text = f"({text})"
-    return "+", text
-
-
 def poly_to_text(p: Polynomial, var: str = "k") -> str:
     """Canonical text form, highest degree first; parse_polynomial inverts it."""
-    if p.is_zero:
-        return "0"
-    pieces = []
-    for deg in range(int(p.degree), -1, -1):
-        c = p.coefficient(deg)
-        if not c:
-            continue
-        sign, body = _coeff_piece(c)
-        if deg == 0:
-            term = body
-        else:
-            vp = var if deg == 1 else f"{var}^{deg}"
-            term = vp if body == "1" else f"{body}*{vp}"
-        if not pieces:
-            pieces.append(term if sign == "+" else f"-{term}")
-        else:
-            pieces.append(f" {sign} {term}")
-    return "".join(pieces)
+    return format_coeffs(p.coeffs, var)
 
 
 __all__ = [
     "NEG_INF",
     "Polynomial",
     "PolynomialSyntaxError",
-    "assemble_from_center",
-    "expand_in_center",
     "falling_factorial_value",
     "parity_support",
     "parse_polynomial",

@@ -1,9 +1,13 @@
-"""Rational functions in one parameter z with exact rational coefficients.
+"""Rational functions in one parameter z, and the dense polynomial kernel.
 
 Elements of Q(z) share their arithmetic interface with Fraction, and the
 reflected dunders coerce int and Fraction operands upward.  Polynomial
 code written against "field element" values therefore runs unchanged
 over Q and over Q(z).
+
+The coefficient-tuple routines below (index = degree, no trailing zeros)
+are the package's one dense-polynomial kernel, shared by RationalFunction
+and poly.Polynomial; their entries may be Fraction or RationalFunction.
 """
 
 from __future__ import annotations
@@ -37,17 +41,31 @@ def _neg(a):
 
 
 def _mul(a, b):
+    """Schoolbook product; zero coefficients of the left factor are skipped."""
     if not a or not b:
         return ()
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
     return _trim(out)
 
 
 def _scale(a, c):
     return _trim(x * c for x in a)
+
+
+def _pow(a, n: int):
+    """a^n for an integer n >= 0, by binary powering."""
+    out = _ONE
+    while n:
+        if n & 1:
+            out = _mul(out, a)
+        n >>= 1
+        if n:
+            a = _mul(a, a)
+    return out
 
 
 def _divmod(a, b):
@@ -67,6 +85,7 @@ def _divmod(a, b):
 
 
 def _gcd(a, b):
+    """Monic greatest common divisor; () when both are zero."""
     while b:
         a, b = b, _divmod(a, b)[1]
     if a:
@@ -74,28 +93,36 @@ def _gcd(a, b):
     return a
 
 
+def _horner(coeffs, x):
+    """Exact value at x; the zero polynomial gives 0."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def format_coeffs(coeffs, var: str = "z") -> str:
-    """Human/parser-friendly text for a coefficient tuple, highest degree first."""
-    if not coeffs:
-        return "0"
+    """Parser-friendly text for a coefficient tuple, highest degree first."""
     pieces = []
     for deg in range(len(coeffs) - 1, -1, -1):
         c = coeffs[deg]
         if not c:
             continue
-        sign = "-" if c < 0 else "+"
-        mag = abs(c)
-        body = str(mag)
-        if deg == 0:
-            term = body
+        if isinstance(c, RationalFunction) and c.is_constant():
+            c = c.as_fraction()
+        if isinstance(c, Fraction):
+            sign, body = ("-", str(-c)) if c < 0 else ("+", str(c))
         else:
+            # "(num)/(den)" is unambiguous inside a product; "2*z + 1" is not
+            sign, body = "+", (str(c) if c.den != _ONE else f"({c})")
+        if deg:
             vp = var if deg == 1 else f"{var}^{deg}"
-            term = vp if mag == 1 else f"{body}*{vp}"
+            body = vp if body == "1" else f"{body}*{vp}"
         if not pieces:
-            pieces.append(term if sign == "+" else f"-{term}")
+            pieces.append(body if sign == "+" else f"-{body}")
         else:
-            pieces.append(f" {sign} {term}")
-    return "".join(pieces)
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces) or "0"
 
 
 class RationalFunction:
@@ -215,14 +242,8 @@ class RationalFunction:
             return NotImplemented
         if n < 0:
             return (RationalFunction.constant(1) / self) ** (-n)
-        out = RationalFunction.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        # powers of coprime num and monic den stay coprime and monic
+        return RationalFunction._canonical(_pow(self.num, n), _pow(self.den, n))
 
     # -- structure ---------------------------------------------------------
 
@@ -251,14 +272,7 @@ class RationalFunction:
     def evaluate(self, z0) -> Fraction:
         """Exact value at z = z0; raises ZeroDivisionError at a pole."""
         z0 = Fraction(z0)
-
-        def horner(coeffs):
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * z0 + c
-            return acc
-
-        return horner(self.num) / horner(self.den)
+        return _horner(self.num, z0) / _horner(self.den, z0)
 
     @property
     def numerator(self) -> tuple:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
-from .ratfunc import Z
+from .ratfunc import RationalFunction, Z
 
 
 class UnknownFamily(ValueError):
@@ -56,8 +56,10 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     """D_0(z) .. D_{n-1}(z) where D_m(z) = sum_i C(m,i) C(m+i,i) z^i.
 
     z may be an int or Fraction for concrete values, or the symbol Z for
-    terms in Q(z).
+    terms in Q(z), whose coefficient lists are the binomial products.
     """
+    if z == Z:
+        return [RationalFunction(binomial_products(m)) for m in range(n)]
     out = []
     for m in range(n):
         total = 0
@@ -214,6 +216,8 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     with a positive leading coefficient.  None when only the zero
     operator fits.
     """
+    if max_order < 0 or max_deg < 0:
+        raise ValueError("the order and degree bounds must be nonnegative")
     need = (max_order + 1) * (max_deg + 2) + max_order
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")

@@ -164,6 +164,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("data", [
+    {"order": "2", "coeffs": ["k + 1", "k", "k + 2"]},
+    {"order": True, "coeffs": ["k + 1", "k + 2"]},
+    {"order": -1, "coeffs": []},
+    {"order": 1, "coeffs": ["k + 1", 3]},
+], ids=["string-order", "bool-order", "negative-order", "non-string-coefficient"])
+def test_malformed_operator_json_exits_2(data, tmp_path, capsys):
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(data))
+    assert main(["profile", "--operator", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--family", "apery", "--r-max", "-1", "--p-max", "50"],
     ["verify", "--family", "apery", "--r-max", "1", "--p-max", "3"],
@@ -171,10 +186,14 @@ def test_input_errors_exit_2(tmp_path, capsys):
     ["constants", "--family", "apery", "--r-max", "-3"],
     ["constants", "--family", "apery", "--r-max", "2", "--z", "7"],
     ["verify", "--family", "apery", "--parity", "even", "--r-max", "2", "--p-max", "40"],
+    ["guess", "--terms", "TERMS", "--order", "-1", "--deg", "2"],
+    ["guess", "--terms", "TERMS", "--order", "1", "--deg", "-1"],
 ], ids=["negative-r-max", "no-admissible-prime", "z-zero", "empty-table", "ignored-z",
-        "apery-even-parity"])
-def test_empty_runs_and_ignored_parameters_exit_2(argv, capsys):
-    assert main(argv) == 2
+        "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
+def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
+    terms = tmp_path / "terms.json"  # a valid term file, so only the bound is wrong
+    terms.write_text(json.dumps([str(t) for t in apery_terms(30)]))
+    assert main([str(terms) if arg == "TERMS" else arg for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
@@ -220,3 +239,9 @@ def test_constants_with_large_prime_z_reports_unfactored_cofactor():
     data = json.loads(proc.stdout)
     assert data["entries"][0] == {"r": 0, "c": f"1/{z}"}
     assert data["denominator_support"] == [z]  # reported once, not factored
+
+
+def test_huge_exponent_is_rejected_quickly(apery_file):
+    proc = _run_cli(["reduce", "--operator", apery_file, "--poly", "k^100000000"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and "column 3" in proc.stderr

@@ -1,0 +1,56 @@
+"""Fuzzed inputs: the polynomial parser and the operator JSON reader.
+
+Every input either gives a result or raises ValueError (the CLI's exit 2);
+no other exception escapes, and no example may take longer than its
+deadline.
+"""
+
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from partible.operators import ShiftOperator, operator_from_dict, operator_to_dict
+from partible.poly import PolynomialSyntaxError, parse_polynomial, poly_to_text
+
+FUZZ = settings(max_examples=300, deadline=2000, derandomize=True)
+
+# raw text over the parser's alphabet, and well-formed expressions built from it
+_TEXT = st.text(alphabet="kz0123456789+-*/^() ", max_size=24) | st.recursive(
+    st.sampled_from(["k", "z"]) | st.integers(0, 99).map(str),
+    lambda e: st.builds("({}{}{})".format, e, st.sampled_from("+-*/"), e)
+    | st.builds("-{}^{}".format, e, st.integers(0, 6)),
+    max_leaves=6,
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=8,
+)
+_OPERATOR_JSON = st.fixed_dictionaries(
+    {"order": st.integers(-2, 3) | _JSON, "coeffs": st.lists(_TEXT | _JSON, max_size=5)},
+    optional={"field": st.sampled_from(["Q", "Q(z)"]) | _JSON},
+)
+
+
+@FUZZ
+@given(_TEXT, st.sampled_from(["Q", "Q(z)"]))
+def test_parser_roundtrips_or_raises_syntax_error(text, field):
+    try:
+        p = parse_polynomial(text, field)
+    except PolynomialSyntaxError:
+        return
+    assert parse_polynomial(poly_to_text(p), field) == p
+
+
+@FUZZ
+@given(_OPERATOR_JSON | _JSON)
+def test_operator_json_gives_an_operator_or_value_error(data):
+    try:
+        L = operator_from_dict(data)
+    except ValueError:
+        return
+    assert isinstance(L, ShiftOperator)
+    assert type(data["order"]) is int and L.order == data["order"]
+    assert operator_from_dict(json.loads(json.dumps(operator_to_dict(L)))) == L

@@ -12,8 +12,6 @@ from partible.poly import (
     NEG_INF,
     Polynomial,
     PolynomialSyntaxError,
-    assemble_from_center,
-    expand_in_center,
     falling_factorial_value,
     parity_support,
     parse_polynomial,
@@ -122,11 +120,12 @@ def test_polynomial_fast_path_matches_normalising_constructor(a, b, c):
 
 
 def test_expand_in_center_examples():
+    # the coefficients c_i of p(k) = sum c_i (k - gamma)^i are those of p(k + gamma)
     half = Fraction(-1, 2)
-    assert expand_in_center(K ** 2 + K, half) == [Fraction(-1, 4), 0, 1]
+    assert (K ** 2 + K).shift(half).coeffs == (Fraction(-1, 4), 0, 1)
     p = 3 * K ** 3 - K + 7
-    assert expand_in_center(p, 0) == list(p.coeffs)
-    assert expand_in_center(-8 * (2 * K + 1) ** 3, half) == [0, 0, 0, -64]
+    assert p.shift(0).coeffs == p.coeffs
+    assert (-8 * (2 * K + 1) ** 3).shift(half).coeffs == (0, 0, 0, -64)
 
 
 def test_expand_in_center_roundtrip_to_degree_25():
@@ -136,8 +135,7 @@ def test_expand_in_center_roundtrip_to_degree_25():
         p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                         for _ in range(deg + 1)])
         gamma = Fraction(rng.randint(-8, 8), rng.randint(1, 6))
-        back = assemble_from_center(expand_in_center(p, gamma), gamma)
-        assert back == p
+        assert p.shift(gamma).shift(-gamma) == p
 
 
 def test_parity_support():
@@ -188,6 +186,29 @@ def test_parse_errors_carry_column():
         parse_polynomial("k/ (k+1)")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/0")
+
+
+def test_exponent_limit():
+    assert parse_polynomial("k^1000") == K ** 1000
+    assert parse_polynomial("(k^2)^500").degree == 1000
+    for text, column in (("k^1001", 3), ("k ^ 100000000", 5), ("2*(k^2)^501", 9),
+                         ("(k^999)^999", 9)):
+        with pytest.raises(PolynomialSyntaxError, match="above 1000") as info:
+            parse_polynomial(text)
+        assert info.value.column == column
+
+
+def test_rational_function_powers_match_repeated_products():
+    rng = random.Random(77)
+    for _ in range(30):
+        a = RationalFunction([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))],
+                             [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [1])
+        product = RationalFunction.constant(1)
+        for n in range(5):
+            assert (a ** n).num == product.num and (a ** n).den == product.den
+            if a:
+                assert a ** -n * product == 1
+            product = product * a
 
 
 def test_text_roundtrip():

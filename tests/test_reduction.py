@@ -8,7 +8,7 @@ import pytest
 from partible import reduction
 from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile
-from partible.poly import Polynomial, expand_in_center, parity_support
+from partible.poly import Polynomial, parity_support
 from partible.ratfunc import RationalFunction, Z
 from partible.reduction import (
     NotPartible,

@@ -59,10 +59,9 @@ def test_ratio_generators_match_comb_definitions():
             sum(comb(m, i) * comb(m + i, i) * z ** i for i in range(m + 1))
             for m in range(n)
         ]
-    # Q(z) arithmetic is slow, so the symbolic check stops earlier
-    assert delannoy_poly_terms(40, Z) == [
+    assert delannoy_poly_terms(n, Z) == [
         RationalFunction([comb(m, i) * comb(m + i, i) for i in range(m + 1)])
-        for m in range(40)
+        for m in range(n)
     ]
 
 
