@@ -22,7 +22,6 @@ from .congruence import (
 from .exact import (
     NonInvertibleDenominator,
     Residue,
-    binomial,
     is_prime,
     legendre_symbol,
     padic_valuation,

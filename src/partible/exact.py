@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: primes, binomials, residues, valuations.
+"""Number-theoretic primitives: primes, residues, valuations.
 
 Python ints are the unbounded integers throughout the package and
 fractions.Fraction supplies exact rationals in lowest terms, so this
@@ -13,13 +13,6 @@ from fractions import Fraction
 
 class NonInvertibleDenominator(ValueError):
     """The denominator shares a factor with the requested modulus."""
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) for nonnegative arguments; zero when k > n."""
-    if n < 0 or k < 0:
-        raise ValueError("binomial expects nonnegative arguments")
-    return math.comb(n, k)
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -242,6 +242,17 @@ class PolynomialSyntaxError(ValueError):
 
 #: the largest exponent, and the largest degree of a power, the parser accepts
 MAX_EXPONENT = 1000
+#: the deepest nesting of parentheses the parser accepts
+MAX_NESTING = 100
+
+
+def _z_degree_and_bits(p: Polynomial) -> tuple[int, int]:
+    """The largest degree in z of p's coefficients, and b: each rational in p^n has <= n*b bits."""
+    parts = [part for c in p.coeffs
+             for part in ((c.num, c.den) if isinstance(c, RationalFunction) else ((c,),))]
+    numbers = [x for part in parts for x in part]
+    bits = max([x.numerator.bit_length() + x.denominator.bit_length() for x in numbers], default=0)
+    return max(map(len, parts), default=1) - 1, bits + len(numbers).bit_length()
 
 
 class _Parser:
@@ -251,9 +262,10 @@ class _Parser:
         self.text = text
         self.field = field
         self.pos = 0
+        self.depth = 0
 
-    def error(self, message):
-        raise PolynomialSyntaxError(message, self.pos + 1)
+    def error(self, message, at=None):
+        raise PolynomialSyntaxError(message, (self.pos if at is None else at) + 1)
 
     def skip_ws(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -294,24 +306,19 @@ class _Parser:
                 at = self.pos
                 divisor = self.factor()
                 if divisor.degree > 0:
-                    self.pos = at
-                    self.error("division by a non-constant polynomial")
+                    self.error("division by a non-constant polynomial", at)
                 if divisor.is_zero:
-                    self.pos = at
-                    self.error("division by zero")
+                    self.error("division by zero", at)
                 value = value * (1 / divisor.coefficient(0))
             else:
                 return value
 
     def factor(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "-":
+        negate = False
+        while self.peek() in ("-", "+"):
+            negate ^= self.text[self.pos] == "-"
             self.pos += 1
-            return -self.factor()
-        if ch == "+":
-            self.pos += 1
-            return self.factor()
-        return self.power()
+        return -self.power() if negate else self.power()
 
     def power(self) -> Polynomial:
         base = self.atom()
@@ -321,9 +328,11 @@ class _Parser:
                 self.error("missing exponent")
             at = self.pos
             n = self.integer()
-            if n > MAX_EXPONENT or n * base.degree > MAX_EXPONENT:
-                self.pos = at
-                self.error(f"exponent or power degree above {MAX_EXPONENT}")
+            zdeg, bits = _z_degree_and_bits(base)
+            if n > MAX_EXPONENT or n * max(base.degree, zdeg) > MAX_EXPONENT:
+                self.error(f"exponent or power degree above {MAX_EXPONENT}", at)
+            if n * bits > MAX_EXPONENT ** 2:
+                self.error(f"power with numbers above {MAX_EXPONENT ** 2} bits", at)
             return base ** n
         return base
 
@@ -339,11 +348,15 @@ class _Parser:
     def atom(self) -> Polynomial:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             value = self.expr()
             if self.peek() != ")":
                 self.error("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if ch.isdigit():
             return Polynomial.constant(Fraction(self.integer()))

@@ -47,33 +47,54 @@ class ReductionResult:
 def reduce(Q: Polynomial, L: ShiftOperator, prof: ReductionProfile | None = None) -> ReductionResult:
     """Split Q into adjoint image, exceptional monomials and remainder.
 
-    The loop peels the top term of the running remainder: degree d+s is
-    cancelled with L*(k^s) when s avoids the indicator roots (the leading
-    coefficient of L*(k^s) is then nonzero), and is moved into the
-    exceptional bucket otherwise.  Terms with deg < d stay as remainder;
-    for d <= 0 that forces the remainder to be zero.
+    _back_substitute against the monomial images L*(k^s), skipping the
+    indicator roots s, where L*(k^s) falls short of degree d+s; for
+    d <= 0 the remainder is zero.
     """
     prof = prof if prof is not None else operator_profile(L)
-    d = prof.d
-    x = Polynomial()
-    exceptional: dict = {}
-    rem = Q
-    images: list = []
-    kernel = _adjoint_images(L, 0, 0)
-    while not rem.is_zero and rem.degree >= d:
-        s = int(rem.degree) - d
-        lc = rem.leading
-        if s in prof.roots:
-            exceptional[s] = lc
-            rem = rem - Polynomial.monomial(int(rem.degree), lc)
-        else:
-            while len(images) <= s:
-                images.append(next(kernel))
-            ps = images[s]
-            coeff = lc / ps.leading
-            x = x + Polynomial.monomial(s, coeff)
-            rem = rem - coeff * ps
-    return ReductionResult(x, exceptional, rem)
+    coeffs = list(Q.coeffs)
+    steps, exceptional = _back_substitute(coeffs, prof.d, _lazy_list(_adjoint_images(L, 0, 0)),
+                                          skip=prof.roots)
+    x = Polynomial([steps.get(s, 0) for s in range(len(coeffs) - prof.d)])
+    return ReductionResult(x, exceptional, Polynomial(coeffs))
+
+
+def _back_substitute(coeffs: list, d: int, image, skip=frozenset()) -> tuple[dict, dict]:
+    """Cancel the terms of degree >= d in coeffs, in place, from the top down.
+
+    The term of degree d+j is moved out whole when j is in skip, and is
+    otherwise cancelled with image(j), a polynomial of degree exactly d+j.
+    Returns the steps {j: factor} and the moved terms {j: c}; what is left
+    in coeffs, all below degree d, is the remainder.
+    """
+    steps, moved = {}, {}
+    for deg in range(len(coeffs) - 1, max(d, 0) - 1, -1):
+        c, j = coeffs[deg], deg - d
+        if not c:
+            continue
+        if j in skip:
+            moved[j] = c
+            coeffs[deg] -= c
+            continue
+        target = image(j).coeffs
+        if len(target) - 1 != deg:
+            raise AssertionError(f"adjoint image {j} has degree {len(target) - 1}, expected {deg}")
+        steps[j] = step = c / target[deg]
+        for i, tc in enumerate(target):
+            coeffs[i] -= step * tc
+    return steps, moved
+
+
+def _lazy_list(items):
+    """The function j -> item j of the iterator items, each item drawn once and kept."""
+    drawn: list = []
+
+    def item(j: int):
+        while len(drawn) <= j:
+            drawn.append(next(items))
+        return drawn[j]
+
+    return item
 
 
 def _adjoint_images(L: ShiftOperator, center, offset):
@@ -222,15 +243,12 @@ class AdjointBasis:
         if not _certificate_holds(L, cert):
             raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
         self.L, self.cert = L, cert
-        self._kernel = _adjoint_images(L, cert.gamma, Fraction(cert.order, 2))
-        self._images: list = []
+        self._image = _lazy_list(_adjoint_images(L, cert.gamma, Fraction(cert.order, 2)))
         self._audited: set = set()
 
     def image(self, j: int) -> Polynomial:
         """L*(x_j) for alpha_j = 1, as a polynomial in t = k - gamma."""
-        while len(self._images) <= j:
-            self._images.append(next(self._kernel))
-        image = self._images[j]
+        image = self._image(j)
         if j not in self._audited:
             if image.shift(-self.cert.gamma) != adjoint_apply(self.L, basis_element(self.cert, j, 1)):
                 raise AssertionError(f"adjoint image {j} failed exactness audit")
@@ -267,11 +285,10 @@ class PartibleReduction:
 def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=None) -> PartibleReduction:
     """Reduce w^m, w = basis_scale*(k - gamma), keeping only same-parity powers.
 
-    Back-substitution against adjoint_basis(L, cert), downward from degree
-    m in the centered coordinates: a term of degree >= d is cancelled with
-    L*(x_j) for j = deg - d, whose expansion at the center contains only
-    powers of matching parity; the terms below degree d are the u_i.  The
-    identity above is checked in centered coordinates before returning.
+    _back_substitute against adjoint_basis(L, cert) in the centered
+    coordinates, where L*(x_j) has only powers of the parity of d+j, so
+    the u_i left below degree d share the parity of m.  The identity
+    above is checked in centered coordinates before returning.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
@@ -282,36 +299,21 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     beta = center_scale(cert.gamma)
 
     # coefficient vector of w^m in powers of (k - gamma)
-    coeffs = [Fraction(0)] * (m + 1)
-    coeffs[m] = Fraction(beta) ** m
-    u_coeffs, v_coeffs, alphas = {}, {}, {}
-    for target in range(m, -1, -1):
-        c = coeffs[target]
-        if not c:
-            continue
-        if (m - target) % 2:
-            raise NotPartible(f"parity leak at degree {target} while reducing power {m}")
-        if target < d:
-            u_coeffs[target] = c / Fraction(beta) ** target
-            continue
-        j = target - d
-        centered = basis.image(j).coeffs
-        if len(centered) - 1 != target:
-            raise NotPartible(f"L*(x_{j}) has degree {len(centered) - 1}, expected {target}")
-        step = c / centered[target]
-        for idx, pc in enumerate(centered):
-            coeffs[idx] = coeffs[idx] - step * pc
-        alphas[j] = alpha(j)
-        v_coeffs[j] = step / alphas[j]
-    if any(coeffs[max(d, 0):]):
-        raise AssertionError("reduction left a term above the remainder degree")
+    coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
+    steps, _ = _back_substitute(coeffs, d, basis.image)
+    u_coeffs = {i: c / Fraction(beta) ** i for i, c in enumerate(coeffs) if c}
+    leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
+    if leaks:
+        raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
+    alphas = {j: alpha(j) for j in steps}
+    v_coeffs = {j: step / alphas[j] for j, step in steps.items()}
 
     total = Polynomial([u_coeffs.get(i, 0) * Fraction(beta) ** i for i in range(max(d, 0))])
     for j, v in v_coeffs.items():
         total = total + v * alphas[j] * basis.image(j)
     if total != Polynomial.monomial(m, Fraction(beta) ** m):
         raise AssertionError("reduction identity failed exactness audit")
-    return PartibleReduction(m, cert.gamma, beta, dict(sorted(u_coeffs.items())), v_coeffs, alphas)
+    return PartibleReduction(m, cert.gamma, beta, u_coeffs, v_coeffs, alphas)
 
 
 def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, alpha_s=None) -> list:

@@ -242,6 +242,19 @@ def test_constants_with_large_prime_z_reports_unfactored_cofactor():
 
 
 def test_huge_exponent_is_rejected_quickly(apery_file):
-    proc = _run_cli(["reduce", "--operator", apery_file, "--poly", "k^100000000"])
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: ") and "column 3" in proc.stderr
+    # ((9^999)^999)^999 would hold about 3e9 bits: refused at the second exponent
+    for poly, column in (("k^100000000", 3), ("((9^999)^999)^999", 10)):
+        proc = _run_cli(["reduce", "--operator", apery_file, "--poly", poly])
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and f"column {column}" in proc.stderr
+
+
+def test_deep_nesting_exits_2_and_sign_runs_parse(apery_file, capsys):
+    # the 101st "(" is refused, at its column
+    for poly, column in (("(" * 400 + "k" + ")" * 400, 101), ("-(" * 400 + "k" + ")" * 400, 202)):
+        assert main(["reduce", "--operator", apery_file, f"--poly={poly}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"(column {column})" in captured.err
+    assert main(["reduce", "--operator", apery_file, "--poly=" + "-" * 1200 + "k"]) == 0
+    assert json.loads(capsys.readouterr().out)["remainder"] == "k"

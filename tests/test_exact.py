@@ -8,39 +8,12 @@ import pytest
 from partible.exact import (
     NonInvertibleDenominator,
     Residue,
-    binomial,
     is_prime,
     legendre_symbol,
     padic_valuation,
     primes_in_range,
     rational_to_residue,
 )
-
-
-def _binomial_by_factorials(n, k):
-    if k > n:
-        return 0
-    return math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
-
-
-def test_binomial_small_cases():
-    assert binomial(4, 2) == 6
-    assert binomial(7, 0) == 1
-    assert binomial(0, 0) == 1
-    assert binomial(3, 9) == 0
-
-
-def test_binomial_matches_factorial_oracle():
-    for n in range(0, 40):
-        for k in range(0, 45):
-            assert binomial(n, k) == _binomial_by_factorials(n, k)
-
-
-def test_binomial_rejects_negatives():
-    with pytest.raises(ValueError):
-        binomial(-1, 2)
-    with pytest.raises(ValueError):
-        binomial(2, -1)
 
 
 def test_legendre_small_cases():

@@ -196,6 +196,10 @@ def test_exponent_limit():
         with pytest.raises(PolynomialSyntaxError, match="above 1000") as info:
             parse_polynomial(text)
         assert info.value.column == column
+    with pytest.raises(PolynomialSyntaxError, match="above 1000") as info:
+        parse_polynomial("(z^999)^2", "Q(z)")  # the degree in z counts too
+    assert info.value.column == 9
+    assert parse_polynomial("(9^999)^300") == Polynomial.constant(9 ** 299700)
 
 
 def test_rational_function_powers_match_repeated_products():

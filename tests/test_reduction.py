@@ -92,6 +92,20 @@ def test_reduce_over_symbolic_coefficients():
     assert any(isinstance(c, RationalFunction) for c in res.x.coeffs)
 
 
+def test_reduce_rejects_an_image_of_the_wrong_degree(monkeypatch):
+    kernel = reduction._adjoint_images
+
+    def one_short_image(L, center, offset):
+        for j, image in enumerate(kernel(L, center, offset)):
+            yield Polynomial(image.coeffs[:-1]) if j == 2 else image
+
+    monkeypatch.setattr(reduction, "_adjoint_images", one_short_image)
+    L = apery_operator()
+    assert reduce(K ** 4, L).reassemble(L) == K ** 4  # images 0 and 1 are intact
+    with pytest.raises(AssertionError, match="adjoint image 2 has degree 4, expected 5"):
+        reduce(K ** 5, L)
+
+
 def test_reduce_exactness_on_200_random_instances():
     rng = random.Random(424242)
     for _ in range(200):
@@ -192,6 +206,21 @@ def test_parity_of_remainders_up_to_15():
                 [red.u_coeffs.get(i, Fraction(0)) for i in range(cert.d)]
             )
             assert support in ("zero", "odd" if m % 2 else "even")
+
+
+def test_plain_and_parity_preserving_reductions_agree():
+    # the two use monomial images at 0 and centred images at gamma, so each checks the other
+    for L, m_max in ((apery_operator(), 15), (apery_signed_operator(), 15),
+                     (delannoy_operator(1), 15), (delannoy_operator(), 8)):
+        cert = is_partible(L)
+        w = center_scale(cert.gamma) * (K - cert.gamma)
+        prof = profile(L)
+        for m in range(m_max + 1):
+            plain = reduce(w ** m, L, prof)
+            red = partible_reduce(m, L, cert)
+            assert plain.exceptional == {}
+            assert plain.remainder == sum((u * w ** i for i, u in red.u_coeffs.items()),
+                                          Polynomial())
 
 
 def test_basis_image_symmetry():
