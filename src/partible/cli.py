@@ -118,11 +118,23 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _term(i: int, t) -> int:
+    """A term file item: a JSON integer (not a bool) or a string of one."""
+    if isinstance(t, int) and not isinstance(t, bool):
+        return t
+    if isinstance(t, str):
+        try:
+            return int(t)
+        except ValueError as exc:
+            raise ValueError(f"term {i}: {exc}") from None
+    raise ValueError(f"term {i} is {json.dumps(t)[:40]}, not an integer or an integer string")
+
+
 def cmd_guess(args) -> int:
     raw = _load_json(args.terms)
     if not isinstance(raw, list):
         raise ValueError("term file must hold a JSON array of integer strings")
-    terms = [int(t) for t in raw]
+    terms = [_term(i, t) for i, t in enumerate(raw)]
     L = guess_annihilator(terms, args.order, args.deg)
     if L is None:
         print("none")

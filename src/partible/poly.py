@@ -242,6 +242,8 @@ class PolynomialSyntaxError(ValueError):
 
 #: the largest exponent, and the largest degree of a power, the parser accepts
 MAX_EXPONENT = 1000
+#: the largest estimated size of a power: its count of numbers times the bits of each
+MAX_POWER_BITS = 10 ** 7
 #: the deepest nesting of parentheses the parser accepts
 MAX_NESTING = 100
 
@@ -329,10 +331,13 @@ class _Parser:
             at = self.pos
             n = self.integer()
             zdeg, bits = _z_degree_and_bits(base)
-            if n > MAX_EXPONENT or n * max(base.degree, zdeg) > MAX_EXPONENT:
+            kdeg, zdeg, bits = n * max(base.degree, 0), n * zdeg, n * bits
+            if n > MAX_EXPONENT or max(kdeg, zdeg) > MAX_EXPONENT:
                 self.error(f"exponent or power degree above {MAX_EXPONENT}", at)
-            if n * bits > MAX_EXPONENT ** 2:
+            if bits > MAX_EXPONENT ** 2:
                 self.error(f"power with numbers above {MAX_EXPONENT ** 2} bits", at)
+            if (kdeg + 1) * (zdeg + 1) * bits > MAX_POWER_BITS:
+                self.error(f"power above {MAX_POWER_BITS} bits in all", at)
             return base ** n
         return base
 

@@ -147,65 +147,52 @@ def builtin(name: str, parameter=None) -> SequenceFamily:
 
 
 def _nullspace_solution(terms, order: int, deg: int):
-    """First canonical nullspace vector of the ansatz system, or None.
+    """First canonical nullspace vector of the ansatz system, as integers, or None.
 
     Unknowns are the coefficients c[i][t] of sum_i sum_t c[i][t] k^t F(k+i),
-    ordered by (i, t); rows range over every k the term list supports.
+    ordered by (i, t); rows range over every k the integer term list
+    supports.  Bareiss elimination (each step divides exactly by the
+    previous pivot) stops at the first column `free` without a pivot: the
+    null vector supported on columns 0..free is unique up to scale, so it
+    is the one a full Gauss-Jordan reduction would give.  With sol[free]
+    set to the last pivot, Cramer's rule makes every sol[j] an integer, so
+    the back-substitution divides exactly too.
     """
     ncols = (order + 1) * (deg + 1)
     rows = []
     for k in range(len(terms) - order):
-        powers = [Fraction(k) ** t for t in range(deg + 1)]
-        row = []
-        for i in range(order + 1):
-            f = terms[k + i]
-            row.extend(p * f for p in powers)
-        rows.append(row)
-
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        powers = [k ** t for t in range(deg + 1)]
+        rows.append([p * terms[k + i] for i in range(order + 1) for p in powers])
+    prev = 1
+    for free in range(ncols):
+        pr = next((i for i in range(free, len(rows)) if rows[i][free]), None)
         if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = 1 / rows[r][col]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
             break
-    if len(pivots) == ncols:
+        rows[free], rows[pr] = rows[pr], rows[free]
+        p, tail = rows[free][free], rows[free][free + 1 :]
+        for row in rows[free + 1 :]:
+            f = row[free]
+            row[free + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[free + 1 :], tail)]
+        prev = p
+    else:
         return None
-    free = next(c for c in range(ncols) if c not in set(pivots))
-    sol = [Fraction(0)] * ncols
-    sol[free] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        sol[pc] = -rows[row_idx][free]
+    sol = [0] * ncols
+    sol[free] = prev
+    for j in range(free - 1, -1, -1):
+        row = rows[j]
+        sol[j] = -sum(row[c] * sol[c] for c in range(j + 1, free + 1)) // row[j]
     return sol
 
 
-def _normalized_operator(sol, order: int, deg: int) -> ShiftOperator | None:
-    """Integer coprime coefficients, positive leading coefficient of a_J."""
-    polys = [
-        Polynomial(sol[i * (deg + 1) : (i + 1) * (deg + 1)])
-        for i in range(order + 1)
-    ]
-    while polys and polys[-1].is_zero:
-        polys.pop()
-    if not polys:
-        return None
-    flat = [c for p in polys for c in p.coeffs if c]
-    den = math.lcm(*(Fraction(c).denominator for c in flat))
-    num = math.gcd(*(int(Fraction(c) * den) for c in flat))
-    scale = Fraction(den, num)
-    if polys[-1].leading * scale < 0:
-        scale = -scale
-    return ShiftOperator([p * scale for p in polys])
+def _normalized_operator(sol, deg: int) -> ShiftOperator:
+    """Coprime integer coefficients, positive leading coefficient of a_J."""
+    g = math.gcd(*sol)
+    if next(c for c in reversed(sol) if c) < 0:
+        g = -g
+    return ShiftOperator([
+        Polynomial([c // g for c in sol[i : i + deg + 1]])
+        for i in range(0, len(sol), deg + 1)
+    ])
 
 
 def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | None:
@@ -214,7 +201,8 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     Candidate ansatz sizes are tried in lexicographic (order, degree)
     order, and the winner is normalized to coprime integer coefficients
     with a positive leading coefficient.  None when only the zero
-    operator fits.
+    operator fits.  Rational terms are scaled once by their common
+    denominator, which changes no annihilator.
     """
     if max_order < 0 or max_deg < 0:
         raise ValueError("the order and degree bounds must be nonnegative")
@@ -222,12 +210,13 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")
     terms = [Fraction(t) for t in terms]
+    den = math.lcm(*(t.denominator for t in terms))
+    terms = [t.numerator * (den // t.denominator) for t in terms]
     for order in range(max_order + 1):
         for deg in range(max_deg + 1):
             sol = _nullspace_solution(terms, order, deg)
-            if sol is None:
-                continue
-            cand = _normalized_operator(sol, order, deg)
-            if cand is not None and annihilates(cand, terms):
-                return cand
+            if sol is not None:
+                cand = _normalized_operator(sol, deg)
+                if annihilates(cand, terms):
+                    return cand
     return None

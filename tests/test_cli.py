@@ -151,6 +151,25 @@ def test_guess_command(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "none"
 
 
+@pytest.mark.parametrize("items,index", [
+    ([1.5, 2.5, 3.5], 0), ([1, True, 3], 1), ([[1], 2, 3], 0), ([None, 2], 0),
+    ([1, 2, {}], 2), (["1", "2", "x"], 2), (["1", "2.0"], 1),
+])
+def test_guess_term_items_are_checked(tmp_path, capsys, items, index):
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps(items))
+    assert main(["guess", "--terms", str(terms), "--order", "0", "--deg", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: term {index}")
+
+
+def test_guess_accepts_integers_and_integer_strings(tmp_path, capsys):
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps([1, "2", 4, " 8 ", "-0", 32 * 10 ** 30]))
+    assert main(["guess", "--terms", str(terms), "--order", "0", "--deg", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "none"
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"order": 2, "coeffs": ["(k"], "field": "Q"}))
@@ -242,8 +261,10 @@ def test_constants_with_large_prime_z_reports_unfactored_cofactor():
 
 
 def test_huge_exponent_is_rejected_quickly(apery_file):
-    # ((9^999)^999)^999 would hold about 3e9 bits: refused at the second exponent
-    for poly, column in (("k^100000000", 3), ("((9^999)^999)^999", 10)):
+    # ((9^999)^999)^999 would hold about 3e9 bits: refused at the second exponent;
+    # (2^900*k+1)^999 passes the degree and per-number bounds, but holds about 9e8 bits
+    for poly, column in (("k^100000000", 3), ("((9^999)^999)^999", 10),
+                         ("(2^900*k+1)^999", 13)):
         proc = _run_cli(["reduce", "--operator", apery_file, "--poly", poly])
         assert proc.returncode == 2
         assert proc.stderr.startswith("error: ") and f"column {column}" in proc.stderr

@@ -1,4 +1,4 @@
-"""Fuzzed inputs: the polynomial parser, the operator JSON reader and the CLI.
+"""Fuzzed inputs: the polynomial parser, the operator and term JSON readers and the CLI.
 
 Every input either gives a result or raises ValueError (the CLI's exit 2);
 no other exception escapes, and no example may take longer than its
@@ -56,6 +56,9 @@ def _operator_and_poly(field, variables):
     return st.tuples(operator, st.none() | expr)
 
 
+# term files: lists of JSON integers and integer strings, alone or mixed with any JSON value
+_TERM = st.integers(-3, 3) | st.integers(-10 ** 6, 10 ** 6) | st.integers().map(str)
+_TERM_FILES = st.lists(_TERM, min_size=6, max_size=16) | st.lists(_TERM | _JSON, max_size=16) | _JSON
 _CLI_INPUTS = (_operator_and_poly("Q", ["k"]) | _operator_and_poly("Q(z)", ["k", "z"])
                | st.tuples(_OPERATOR_JSON | _JSON, st.none() | _TEXT))
 
@@ -95,3 +98,15 @@ def test_cli_profile_and_reduce_exit_0_1_or_2(inputs):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             # any exception but the input errors main() reports escapes here, as a traceback would
             assert main(argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(_TERM_FILES, st.integers(0, 2), st.integers(0, 2))
+def test_cli_guess_exits_0_or_2(data, order, deg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "terms.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+        argv = ["guess", "--terms", path, "--order", str(order), "--deg", str(deg)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2)

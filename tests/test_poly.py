@@ -1,6 +1,7 @@
 """Polynomials over Q and Q(z): arithmetic, shifts, centered expansions, text."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -200,6 +201,16 @@ def test_exponent_limit():
         parse_polynomial("(z^999)^2", "Q(z)")  # the degree in z counts too
     assert info.value.column == 9
     assert parse_polynomial("(9^999)^300") == Polynomial.constant(9 ** 299700)
+
+
+def test_power_size_limit():
+    # degree and per-number bits both within bounds, but too many big numbers in all
+    for text, field, column in (("(2^900*k+1)^999", "Q", 13), ("(k+z)^1000", "Q(z)", 7),
+                                ("(z*k+1)^1000", "Q(z)", 9)):
+        with pytest.raises(PolynomialSyntaxError, match="bits in all") as info:
+            parse_polynomial(text, field)
+        assert info.value.column == column
+    assert parse_polynomial("(k+1)^1000").coefficient(500) == math.comb(1000, 500)
 
 
 def test_rational_function_powers_match_repeated_products():

@@ -1,11 +1,17 @@
 """Sequence generators, built-in annihilators, recurrence guessing."""
 
+import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from partible.operators import InsufficientTerms, annihilates
+from partible import sequences
+from partible.operators import InsufficientTerms, ShiftOperator, annihilates
 from partible.poly import Polynomial
 from partible.ratfunc import RationalFunction, Z
 from partible.sequences import (
@@ -150,3 +156,107 @@ def test_guess_output_always_annihilates():
         from math import gcd
         assert gcd(*(int(c) for c in flat)) == 1
         assert L.coeffs[-1].leading > 0
+
+
+def _oracle_guess(terms, max_order, max_deg):
+    """The guess search on a Fraction Gauss-Jordan solve, as the library did it before Bareiss."""
+    terms = [Fraction(t) for t in terms]
+    for order in range(max_order + 1):
+        for deg in range(max_deg + 1):
+            ncols = (order + 1) * (deg + 1)
+            rows = [[Fraction(k) ** t * terms[k + i] for i in range(order + 1)
+                     for t in range(deg + 1)] for k in range(len(terms) - order)]
+            pivots = []
+            for col in range(ncols):
+                r = len(pivots)
+                pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+                if pr is None:
+                    continue
+                rows[r], rows[pr] = rows[pr], rows[r]
+                rows[r] = [v / rows[r][col] for v in rows[r]]
+                for i in range(len(rows)):
+                    if i != r and rows[i][col]:
+                        f = rows[i][col]
+                        rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                pivots.append(col)
+            free = next((c for c in range(ncols) if c not in pivots), None)
+            if free is None:
+                continue
+            sol = [Fraction(0)] * ncols
+            sol[free] = Fraction(1)
+            for r, pc in enumerate(pivots):
+                sol[pc] = -rows[r][free]
+            scale = Fraction(math.lcm(*(c.denominator for c in sol)),
+                             math.gcd(*(c.numerator for c in sol)))
+            if next(c for c in reversed(sol) if c) < 0:
+                scale = -scale
+            cand = ShiftOperator([Polynomial([c * scale for c in sol[j : j + deg + 1]])
+                                  for j in range(0, ncols, deg + 1)])
+            if annihilates(cand, terms):
+                return cand
+    return None
+
+
+@st.composite
+def _guess_cases(draw):
+    """Term lists of every kind the solver meets, with bounds that fit them."""
+    kind = draw(st.sampled_from(["integers", "small", "rationals", "recurrence"]))
+    order = draw(st.integers(1, 2))
+    max_order = draw(st.integers(order if kind == "recurrence" else 0, 2))
+    max_deg = draw(st.integers(1 if kind == "recurrence" else 0, 2))
+    n = (max_order + 1) * (max_deg + 2) + max_order + draw(st.integers(0, 4))
+    if kind == "integers":  # full rank as a rule
+        terms = draw(st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=n, max_size=n))
+    elif kind == "small":  # zeros and repeated terms
+        terms = draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+    elif kind == "rationals":
+        terms = draw(st.lists(st.fractions(-20, 20, max_denominator=6), min_size=n, max_size=n))
+    else:  # F(k+J) = sum_i (a_i k + b_i) F(k+i): rank deficient at order J, degree 1
+        coeffs = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                               min_size=order, max_size=order))
+        terms = draw(st.lists(st.integers(-5, 5), min_size=order, max_size=order))
+        while len(terms) < n:
+            k = len(terms) - order
+            terms.append(sum((a * k + b) * terms[k + i] for i, (a, b) in enumerate(coeffs)))
+    return terms, max_order, max_deg
+
+
+@settings(max_examples=200, deadline=2000, derandomize=True)
+@given(_guess_cases())
+def test_guess_matches_the_fraction_gauss_jordan_oracle(case):
+    terms, max_order, max_deg = case
+    got = guess_annihilator(terms, max_order, max_deg)
+    assert repr(got) == repr(_oracle_guess(terms, max_order, max_deg))
+
+
+def test_guess_rejects_a_wrong_nullspace_vector(monkeypatch):
+    solve = sequences._nullspace_solution
+
+    def perturbed(terms, order, deg):
+        sol = solve(terms, order, deg)
+        if sol is not None:
+            sol[0] += 1
+        return sol
+
+    monkeypatch.setattr(sequences, "_nullspace_solution", perturbed)
+    fib = [1, 1]
+    for _ in range(28):
+        fib.append(fib[-1] + fib[-2])
+    for terms, order, deg in [(apery_terms(30), 2, 3), (fib, 2, 0), ([2 ** n for n in range(9)], 1, 0)]:
+        L = guess_annihilator(terms, order, deg)
+        assert L is None or annihilates(L, terms)
+    # every candidate of the Apery search is off by one term F(k): all are refused
+    assert guess_annihilator(apery_terms(30), 2, 3) is None
+
+
+def test_guess_at_a_larger_size_is_quick():
+    code = (
+        "import random\n"
+        "from partible.sequences import apery_operator, apery_terms, guess_annihilator\n"
+        "assert guess_annihilator(apery_terms(120), 3, 5) == apery_operator()\n"
+        "rng = random.Random(12)\n"
+        "terms = [rng.randint(10 ** 11, 10 ** 12 - 1) for _ in range(40)]\n"
+        "assert guess_annihilator(terms, 3, 5) is None\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
