@@ -13,18 +13,12 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
-from .exact import (
-    Residue,
-    is_prime,
-    legendre_symbol,
-    padic_valuation,
-    primes_in_range,
-    rational_to_residue,
-)
+from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .ratfunc import RationalFunction
 from .reduction import NotPartible, is_partible, partible_reduce
-from .sequences import FAMILY_NAMES, UnknownFamily, binomial_products, builtin
+from .sequences import UnknownFamily, binomial_products, builtin
 
 __all__ = [
     "CongruenceReport",
@@ -45,59 +39,78 @@ class HypothesisViolation(ValueError):
     """The requested prime or parameter violates the congruence hypothesis."""
 
 
-_MODULUS_EXP = {"apery": 3, "apery_signed": 3, "delannoy_number": 1, "delannoy_poly": 1}
-# parity of the power (2k+1)^power that verify checks when none is given
-_VERIFY_PARITY = {"apery": "odd", "apery_signed": "odd", "delannoy_number": "even",
-                  "delannoy_poly": "odd"}
+def _require(condition: bool, message: str):
+    if not condition:
+        raise HypothesisViolation(message)
 
 
-def _check_family(name: str):
-    if name not in FAMILY_NAMES:
-        raise UnknownFamily(f"unknown family {name!r}")
+@dataclass(frozen=True)
+class _Rule:
+    """The hypotheses and right side of one family's congruences."""
+
+    e: int  # the congruences hold modulo p^e
+    min_prime: int
+    # power parity -> the power of 2k+1 that survives the reduction of
+    # (2k+1)^power, whose coefficient is c_r; None when nothing survives,
+    # so the sum vanishes.  The first parity is the default.
+    parities: dict
+    takes_z: bool
+    unit: Callable  # (p, the first p terms mod p^e) -> the factor of c_r on the right
+
+
+_RULES = dict(
+    apery=_Rule(3, 5, {"odd": 1}, False, lambda p, terms: p),
+    apery_signed=_Rule(3, 5, {"odd": 1}, False, lambda p, terms: p * legendre_symbol(p, 3)),
+    delannoy_number=_Rule(1, 3, {"even": 0, "odd": None}, False,
+                          lambda p, terms: legendre_symbol(-1, p)),
+    delannoy_poly=_Rule(1, 3, {"odd": None, "even": 0}, True, lambda p, terms: sum(terms)),
+)
+
+
+def _rule(family: str, power_parity: str | None, z=None) -> tuple[_Rule, str]:
+    """The family's rule and the parity to check (its default when None).
+
+    Raises UnknownFamily for a family not in _RULES, and HypothesisViolation
+    for a parity the family does not cover or a z given to a family without one.
+    """
+    rule = _RULES.get(family)
+    if rule is None:
+        raise UnknownFamily(f"unknown family {family!r}")
+    parity = power_parity or next(iter(rule.parities))
+    _require(parity in rule.parities,
+             f"{family} congruences cover {' and '.join(rule.parities)} powers, not {parity!r}")
+    _require(z is None or rule.takes_z, f"{family} has no z parameter")
+    return rule, parity
+
+
+def _power(r: int, parity: str) -> int:
+    return 2 * r + 1 if parity == "odd" else 2 * r + 2
 
 
 def derive_constant(family: str, r: int, z=None, power_parity: str | None = None):
-    """The constant surviving the reduction of the family's target power.
+    """The constant c_r surviving the reduction of (2k+1)^power.
 
-    apery/apery_signed reduce (2k+1)^(2r+1) and keep the coefficient of
-    2k+1; the delannoy families reduce (2k+1)^(2r+2) and keep the
-    constant term.  power_parity="odd" for a delannoy family reduces
-    (2k+1)^(2r+1) instead, which lies entirely in the difference space,
-    and returns 0 after checking exactly that.
+    power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default
+    the family's first parity in _RULES that has a surviving power.  The
+    Apery families keep the coefficient of 2k+1 of the odd power; the
+    delannoy families keep the constant term of the even power.  Their
+    odd power lies entirely in the difference space, and 0 is returned
+    after checking exactly that.
     """
-    _check_family(family)
+    rule, parity = _rule(family, power_parity, z)
     if r < 0:
         raise ValueError("r must be nonnegative")
-    if z is not None and family != "delannoy_poly":
-        raise ValueError(f"{family} has no z parameter")
-    if family in ("apery", "apery_signed"):
-        if power_parity not in (None, "odd"):
-            raise ValueError(f"{family} congruences only cover odd powers")
-        if r == 0:
-            return Fraction(1)  # the base congruence itself; nothing to reduce
-        m, survivor = 2 * r + 1, 1
-        fam = builtin(family)
-    else:
-        parity = power_parity or "even"
-        if parity == "even":
-            m, survivor = 2 * r + 2, 0
-        elif parity == "odd":
-            m, survivor = 2 * r + 1, None
-        else:
-            raise ValueError(f"unknown power parity {power_parity!r}")
-        fam = builtin(family, z) if family == "delannoy_poly" else builtin(family)
-
-    L = fam.annihilator
+    if power_parity is None:
+        parity = next(q for q, survivor in rule.parities.items() if survivor is not None)
+    survivor = rule.parities[parity]
+    L = builtin(family, z).annihilator
     cert = is_partible(L)
     if cert is None:
         raise NotPartible(f"{family} operator is not power-partible")
-    red = partible_reduce(m, L, cert)
-    allowed = set() if survivor is None else {survivor}
-    stray = set(red.u_coeffs) - allowed
+    red = partible_reduce(_power(r, parity), L, cert)
+    stray = set(red.u_coeffs) - {survivor}
     if stray:
         raise AssertionError(f"unexpected surviving powers {sorted(stray)}")
-    if survivor is None:
-        return Fraction(0)
     return red.u_coeffs.get(survivor, Fraction(0))
 
 
@@ -194,18 +207,14 @@ def delannoy_ring_check(c) -> bool:
 
 def integrality_check(table: ConstantTable, p: int) -> bool:
     """v_p(c_r) >= 0 for every table entry (numeric part for symbolic z)."""
-    for c in table.entries.values():
-        if isinstance(c, RationalFunction):
-            if padic_valuation(Fraction(1, _denominator_content(c)), p) < 0:
-                return False
-        elif padic_valuation(c, p) < 0:
-            return False
-    return True
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return all(_denominator_content(c) % p for c in table.entries.values())
 
 
 @dataclass
 class CongruenceReport:
-    """One verified congruence cell."""
+    """One verified congruence cell; lhs and rhs are None when the cell raised."""
 
     family: str
     r: int
@@ -213,8 +222,8 @@ class CongruenceReport:
     e: int
     power: int
     z: int | None
-    lhs: int
-    rhs: int
+    lhs: int | None
+    rhs: int | None
     passed: bool
     elapsed: float
     error: str | None = None
@@ -238,104 +247,59 @@ class CongruenceReport:
         return out
 
 
-def _require(condition: bool, message: str):
-    if not condition:
-        raise HypothesisViolation(message)
-
-
-def _family_terms(family: str, n: int, z=None) -> list[int]:
-    return builtin(family, z if family == "delannoy_poly" else None).terms(n)
-
-
 def verify(
     family: str,
     r: int,
     p: int,
-    e: int | None = None,
     z: int | None = None,
     power_parity: str | None = None,
     _terms=None,
     _constant=None,
 ) -> CongruenceReport:
-    """Check one congruence cell exactly.
+    """Check one congruence cell exactly, modulo p^e for the family's e.
 
     lhs = sum_{k=0}^{p-1} (2k+1)^power F(k) mod p^e with F generated from
-    the binomial-sum definition; rhs is the family's closed form.
-    power_parity picks power = 2r+1 ("odd") or 2r+2 ("even"); by default
-    even for delannoy_number and odd otherwise.  An odd-power Delannoy sum
-    must vanish; the Apery families only have the odd one.
+    the binomial-sum definition; rhs is c_r times the family's unit
+    (_RULES).  power_parity picks power = 2r+1 ("odd") or 2r+2 ("even");
+    by default the family's first parity in _RULES.  An odd-power
+    Delannoy sum must vanish; the Apery families only have the odd one.
     """
     started = time.perf_counter()
-    _check_family(family)
+    rule, parity = _rule(family, power_parity, z)
     _require(is_prime(p), f"{p} is not prime")
-    expected_e = _MODULUS_EXP[family]
-    if e is None:
-        e = expected_e
-    _require(e == expected_e, f"{family} congruences hold modulo p^{expected_e}")
-
-    if family in ("apery", "apery_signed"):
-        _require(p > 3, f"{family} requires p > 3")
-        _require(z is None, f"{family} has no z parameter")
-        _require(power_parity in (None, "odd"), f"{family} congruences only cover odd powers")
-    elif family == "delannoy_number":
-        _require(p % 2 == 1, "delannoy_number requires an odd prime")
-        _require(z is None, "delannoy_number has no z parameter")
-    else:
-        _require(p % 2 == 1, "delannoy_poly requires an odd prime")
-        _require(isinstance(z, int) and z != 0, "delannoy_poly needs a nonzero integer z")
+    _require(p >= rule.min_prime, f"{family} requires a prime p >= {rule.min_prime}")
+    if rule.takes_z:
+        _require(isinstance(z, int) and z != 0, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
-    parity = power_parity or _VERIFY_PARITY[family]
-    _require(parity in ("odd", "even"), f"unknown power parity {power_parity!r}")
-    power = 2 * r + 1 if parity == "odd" else 2 * r + 2
+    power = _power(r, parity)
 
-    modulus = p ** e
-    terms = _terms if _terms is not None else _family_terms(family, p, z)
-    lhs_val = 0
+    modulus = p ** rule.e
+    terms = _terms if _terms is not None else builtin(family, z).terms(p)
+    lhs = 0
     for k in range(p):
-        lhs_val = (lhs_val + pow(2 * k + 1, power, modulus) * (terms[k] % modulus)) % modulus
-    lhs = Residue(lhs_val, modulus)
+        lhs = (lhs + pow(2 * k + 1, power, modulus) * (terms[k] % modulus)) % modulus
 
-    if family in ("apery", "apery_signed") or parity == "even":
+    if rule.parities[parity] is None:
+        c = 0
+    else:
         c = _constant if _constant is not None else derive_constant(
             family, r, power_parity=parity)
-    if family == "apery":
-        rhs = rational_to_residue(c * p, modulus)
-    elif family == "apery_signed":
-        rhs = rational_to_residue(c * p * legendre_symbol(p, 3), modulus)
-    elif parity == "odd":
-        rhs = Residue(0, modulus)
-    elif family == "delannoy_number":
-        rhs = rational_to_residue(c * legendre_symbol(-1, p), modulus)
-    else:
-        cz = c.evaluate(z) if isinstance(c, RationalFunction) else Fraction(c)
-        base = sum(t % modulus for t in terms) % modulus
-        rhs = rational_to_residue(cz, modulus) * base
+    if isinstance(c, RationalFunction):
+        c = c.evaluate(z)
+    rhs = rational_to_residue(c * rule.unit(p, terms), modulus).value
 
     return CongruenceReport(
         family=family,
         r=r,
         p=p,
-        e=e,
+        e=rule.e,
         power=power,
-        z=z if family == "delannoy_poly" else None,
-        lhs=lhs.value,
-        rhs=rhs.value,
+        z=z,
+        lhs=lhs,
+        rhs=rhs,
         passed=lhs == rhs,
         elapsed=time.perf_counter() - started,
     )
-
-
-def admissible_primes(family: str, p_max: int, z: int | None = None) -> list[int]:
-    """Primes up to p_max satisfying the family's hypothesis."""
-    _check_family(family)
-    if family in ("apery", "apery_signed"):
-        return primes_in_range(5, p_max)
-    primes = primes_in_range(3, p_max)
-    if family == "delannoy_poly":
-        if not z:
-            raise HypothesisViolation("delannoy_poly needs a nonzero integer z")
-        primes = [p for p in primes if z % p != 0]
-    return primes
 
 
 def sweep(
@@ -347,42 +311,36 @@ def sweep(
 ) -> list[CongruenceReport]:
     """All cells (r <= r_max, admissible p <= p_max[, z]) for one family.
 
-    Constants are derived once per r with no reference to any prime.  The
-    terms are generated once per z, and reduced mod p^e once per prime
-    for all r.  A cell that raises is reported as failed with its error.
-    Raises HypothesisViolation when some z (or the family) has no cell.
+    The admissible primes are those from the family's smallest prime up,
+    prime to z.  Constants are derived once per r with no reference to
+    any prime.  The terms are generated once per z, and reduced mod p^e
+    once per prime for all r.  A cell that raises is reported as failed,
+    with lhs and rhs None and the exception's class and message as its
+    error.  Raises HypothesisViolation when some z (or the family) has no cell.
     """
-    _check_family(family)
+    rule, parity = _rule(family, power_parity, z_values)
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if family == "delannoy_poly":
+    zs = [None]
+    if rule.takes_z:
         zs = [int(v) for v in (z_values if z_values is not None else [1])]
-        if not zs:
-            raise HypothesisViolation("delannoy_poly needs at least one z")
-    else:
-        zs = [None]
-        if z_values is not None:
-            raise HypothesisViolation(f"{family} has no z parameter")
-
-    parity = power_parity or _VERIFY_PARITY[family]
-    if parity not in ("odd", "even"):
-        raise ValueError(f"unknown power parity {power_parity!r}")
-    needs_constant = family in ("apery", "apery_signed") or parity == "even"
+        _require(zs, f"{family} needs at least one z")
+        _require(all(zs), f"{family} needs a nonzero integer z")
     constants = {
-        r: derive_constant(family, r, power_parity=parity) if needs_constant else None
+        r: derive_constant(family, r, power_parity=parity)
+        if rule.parities[parity] is not None else None
         for r in range(r_max + 1)
     }
 
-    e = _MODULUS_EXP[family]
     reports = []
     for z in zs:
-        primes = admissible_primes(family, p_max, z)
+        primes = [p for p in primes_in_range(rule.min_prime, p_max) if z is None or z % p]
         if not primes:
             where = "" if z is None else f" at z={z}"
             raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
-        terms = _family_terms(family, max(primes), z)
+        terms = builtin(family, z).terms(max(primes))
         for p in primes:
-            modulus = p ** e
+            modulus = p ** rule.e
             residues = [terms[k] % modulus for k in range(p)]
             for r in range(r_max + 1):
                 try:
@@ -392,9 +350,9 @@ def sweep(
                     )
                 except Exception as exc:  # keep the sweep alive; report the cell as failed
                     report = CongruenceReport(
-                        family=family, r=r, p=p, e=e,
-                        power=0, z=z, lhs=-1, rhs=-1, passed=False,
-                        elapsed=0.0, error=str(exc),
+                        family=family, r=r, p=p, e=rule.e, power=_power(r, parity), z=z,
+                        lhs=None, rhs=None, passed=False, elapsed=0.0,
+                        error=f"{type(exc).__name__}: {exc}",
                     )
                 reports.append(report)
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))

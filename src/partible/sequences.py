@@ -21,9 +21,6 @@ class UnknownFamily(ValueError):
     """No built-in sequence family with that name."""
 
 
-FAMILY_NAMES = ("apery", "apery_signed", "delannoy_number", "delannoy_poly")
-
-
 def binomial_products(m: int, squared: bool = False):
     """Yield C(m,j) C(m+j,j) for j = 0 .. m, or its square when `squared`.
 
@@ -75,37 +72,42 @@ def delannoy_number_terms(n: int) -> list[int]:
     return delannoy_poly_terms(n, 1)
 
 
-def _k() -> Polynomial:
-    return Polynomial.variable()
+def _apery_shape(sign: int) -> ShiftOperator:
+    """(k+2)^3 sigma^2 + sign (2k+3)(17k^2+51k+39) sigma + (k+1)^3."""
+    k = Polynomial.variable()
+    return ShiftOperator([(k + 1) ** 3, sign * (2 * k + 3) * (17 * k ** 2 + 51 * k + 39),
+                          (k + 2) ** 3])
 
 
 def apery_operator() -> ShiftOperator:
-    k = _k()
-    return ShiftOperator([
-        (k + 1) ** 3,
-        -(2 * k + 3) * (17 * k ** 2 + 51 * k + 39),
-        (k + 2) ** 3,
-    ])
+    return _apery_shape(-1)
 
 
 def apery_signed_operator() -> ShiftOperator:
-    k = _k()
-    return ShiftOperator([
-        (k + 1) ** 3,
-        (2 * k + 3) * (17 * k ** 2 + 51 * k + 39),
-        (k + 2) ** 3,
-    ])
+    """The annihilator of (-1)^m A_m: the Apery operator with the middle sign flipped."""
+    return _apery_shape(1)
 
 
 def delannoy_operator(z=None) -> ShiftOperator:
     """(k+2) sigma^2 - (2k+3)(2z+1) sigma + (k+1); z=None keeps z symbolic."""
-    k = _k()
+    k = Polynomial.variable()
     zz = Z if z is None else Fraction(z)
     return ShiftOperator([
         k + 1,
         -(2 * k + 3) * Polynomial.constant(2 * zz + 1),
         k + 2,
     ])
+
+
+# name -> (terms(n, z), annihilator(z), whether z may be given); z=None is symbolic
+_FAMILIES = dict(
+    apery=(lambda n, z: apery_terms(n), lambda z: apery_operator(), False),
+    apery_signed=(lambda n, z: apery_signed_terms(n), lambda z: apery_signed_operator(), False),
+    delannoy_number=(lambda n, z: delannoy_number_terms(n), lambda z: delannoy_operator(1), False),
+    delannoy_poly=(lambda n, z: delannoy_poly_terms(n, Z if z is None else z),
+                   delannoy_operator, True),
+)
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -117,30 +119,17 @@ class SequenceFamily:
     annihilator: ShiftOperator
 
     def terms(self, n: int) -> list:
-        if self.name == "apery":
-            return apery_terms(n)
-        if self.name == "apery_signed":
-            return apery_signed_terms(n)
-        if self.name == "delannoy_number":
-            return delannoy_number_terms(n)
-        return delannoy_poly_terms(n, Z if self.parameter is None else self.parameter)
+        return _FAMILIES[self.name][0](n, self.parameter)
 
 
 def builtin(name: str, parameter=None) -> SequenceFamily:
     """Look up a family; `parameter` is the Delannoy z (None = symbolic)."""
-    if name == "apery":
-        op = apery_operator()
-    elif name == "apery_signed":
-        op = apery_signed_operator()
-    elif name == "delannoy_number":
-        op = delannoy_operator(1)
-    elif name == "delannoy_poly":
-        return SequenceFamily(name, parameter, delannoy_operator(parameter))
-    else:
+    if name not in _FAMILIES:
         raise UnknownFamily(f"unknown family {name!r}")
-    if parameter is not None:
+    _, annihilator, takes_z = _FAMILIES[name]
+    if parameter is not None and not takes_z:
         raise UnknownFamily(f"family {name!r} takes no parameter")
-    return SequenceFamily(name, None, op)
+    return SequenceFamily(name, parameter, annihilator(parameter))
 
 
 # -- recurrence guessing -------------------------------------------------------

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from partible import congruence
 from partible.cli import main
 from partible.congruence import CongruenceReport
 from partible.operators import operator_to_dict, profile
@@ -130,6 +131,31 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
                  "--p-max", "10"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out
+
+
+def test_raising_cell_reports_its_cell_and_error(monkeypatch, capsys):
+    real = congruence.rational_to_residue
+
+    def fails_at_7(q, m):
+        if m == 7 ** 3:
+            raise ZeroDivisionError("boom")
+        return real(q, m)
+
+    monkeypatch.setattr(congruence, "rational_to_residue", fails_at_7)
+    failed = [rep for rep in congruence.sweep("apery", 1, 20) if not rep.passed]
+    assert [(rep.r, rep.p, rep.e, rep.power, rep.lhs, rep.rhs) for rep in failed] == [
+        (0, 7, 3, 1, None, None), (1, 7, 3, 3, None, None)]
+    assert all(rep.error == "ZeroDivisionError: boom" for rep in failed)
+
+    assert main(["verify", "--family", "apery", "--r-max", "1", "--p-max", "20"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    rows = [json.loads(line) for line in out if line.startswith("{")]
+    assert [row for row in rows if not row["passed"]] == [
+        dict(rep.to_dict(), elapsed=0.0) for rep in failed]
+    assert [line for line in out if line.startswith("# FAIL")] == [
+        "# FAIL r=0 p=7: lhs=None rhs=None ZeroDivisionError: boom",
+        "# FAIL r=1 p=7: lhs=None rhs=None ZeroDivisionError: boom",
+    ]
 
 
 def test_guess_command(tmp_path, capsys):

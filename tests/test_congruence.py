@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from partible.cli import main
 from partible.congruence import (
+    _RULES,
     HypothesisViolation,
     _add_coprime,
     constant_table,
@@ -19,7 +21,7 @@ from partible.congruence import (
 )
 from partible.exact import legendre_symbol, primes_in_range
 from partible.ratfunc import Z
-from partible.sequences import delannoy_poly_terms
+from partible.sequences import FAMILY_NAMES, UnknownFamily, delannoy_poly_terms
 
 
 def test_derive_constant_worked_values():
@@ -99,6 +101,10 @@ def test_integrality_check():
     assert integrality_check(apery, 97)
     signed = constant_table("apery_signed", 10)
     assert integrality_check(signed, 7)
+    assert not integrality_check(signed, 3)  # c_1 = -1/3
+    assert not integrality_check(constant_table("delannoy_poly", 2, z=6), 3)
+    with pytest.raises(ValueError):
+        integrality_check(apery, 4)
     # 2 may legitimately divide apery denominators (e.g. 1/8-type entries)
     bad2 = all(Fraction(c).denominator % 2 for c in apery.entries.values())
     assert integrality_check(apery, 2) == bad2
@@ -138,9 +144,66 @@ def test_verify_hypothesis_violations():
     with pytest.raises(HypothesisViolation):
         verify("delannoy_poly", 0, 5)
     with pytest.raises(HypothesisViolation):
-        verify("apery", 0, 7, e=2)
-    with pytest.raises(HypothesisViolation):
         verify("delannoy_number", 0, 2)
+
+
+# family -> (e, smallest prime, parities with the default first, takes z)
+RULES = {
+    "apery": (3, 5, ("odd",), False),
+    "apery_signed": (3, 5, ("odd",), False),
+    "delannoy_number": (1, 3, ("even", "odd"), False),
+    "delannoy_poly": (1, 3, ("odd", "even"), True),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RULES))
+def test_family_rules(family, capsys):
+    e, low, parities, takes_z = RULES[family]
+    assert FAMILY_NAMES == tuple(_RULES) == tuple(RULES)
+    z, zs = (2, [2]) if takes_z else (None, None)
+    below = primes_in_range(2, low - 1)[-1]
+    cli = ["verify", "--family", family, "--r-max", "1"] + (["--z", "2"] if takes_z else [])
+
+    rep = verify(family, 1, low, z=z)
+    assert rep.passed and rep.e == e and rep.power == (3 if parities[0] == "odd" else 4)
+    with pytest.raises(HypothesisViolation):
+        verify(family, 1, below, z=z)
+    assert {rep.p for rep in sweep(family, 1, low, z_values=zs)} == {low}
+    with pytest.raises(HypothesisViolation):
+        sweep(family, 1, below, z_values=zs)
+    assert main(cli + ["--p-max", str(low), "--json"]) == 0
+    assert main(cli + ["--p-max", str(below)]) == 2
+
+    other = "even" if parities[0] == "odd" else "odd"
+    if other in parities:
+        assert verify(family, 1, 7, z=z, power_parity=other).passed
+        # the default constant is that of the parity with a surviving power
+        constant = 0 if other == "odd" else derive_constant(family, 1)
+        assert derive_constant(family, 1, power_parity=other) == constant
+        assert main(cli + ["--p-max", "7", "--parity", other, "--json"]) == 0
+    else:
+        with pytest.raises(HypothesisViolation):
+            verify(family, 1, 7, z=z, power_parity=other)
+        with pytest.raises(HypothesisViolation):
+            derive_constant(family, 1, power_parity=other)
+        assert main(cli + ["--p-max", "7", "--parity", other]) == 2
+
+    with pytest.raises(HypothesisViolation):
+        verify(family, 1, 7, z=None if takes_z else 2)
+    if not takes_z:
+        with pytest.raises(HypothesisViolation):
+            derive_constant(family, 1, z=2)
+        with pytest.raises(HypothesisViolation):
+            sweep(family, 1, 7, z_values=[2])
+        assert main(cli + ["--p-max", "7", "--z", "2"]) == 2
+    capsys.readouterr()
+
+
+def test_unknown_family():
+    for call in (lambda: verify("nope", 0, 7), lambda: sweep("nope", 0, 7),
+                 lambda: derive_constant("nope", 0), lambda: constant_table("nope", 0)):
+        with pytest.raises(UnknownFamily):
+            call()
 
 
 def test_sweep_small_grids():
