@@ -17,7 +17,7 @@ from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import parse_polynomial, poly_to_text
 from .ratfunc import RationalFunction
-from .reduction import PartibleCertificate, gamma_candidates, reduce
+from .reduction import gamma_candidates, is_partible, reduce
 from .sequences import guess_annihilator
 
 
@@ -51,11 +51,8 @@ def cmd_profile(args) -> int:
 
 def cmd_gamma(args) -> int:
     L = _load_operator(args.operator)
-    prof = profile(L)
-    candidates = gamma_candidates(L, prof)
-    # is_partible's rule, without a second profile and center search
-    cert = (PartibleCertificate(candidates[0], prof.d, L.order)
-            if candidates and not prof.roots else None)
+    candidates = gamma_candidates(L)
+    cert = is_partible(L)
     data = {
         "gamma": _value_text(candidates[0]) if candidates else None,
         "candidates": [_value_text(c) for c in candidates],

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable
 
@@ -221,29 +221,20 @@ class CongruenceReport:
     p: int
     e: int
     power: int
-    z: int | None
     lhs: int | None
     rhs: int | None
     passed: bool
     elapsed: float
+    z: int | None = None
     error: str | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "family": self.family,
-            "r": self.r,
-            "p": self.p,
-            "e": self.e,
-            "power": self.power,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-            "elapsed": round(self.elapsed, 6),
-        }
-        if self.z is not None:
-            out["z"] = self.z
-        if self.error is not None:
-            out["error"] = self.error
+        """The fields in order, elapsed rounded to 6 places, z and error omitted when None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None or f.default is not None:
+                out[f.name] = round(value, 6) if f.name == "elapsed" else value
         return out
 
 

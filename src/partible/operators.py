@@ -9,6 +9,7 @@ on.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -98,6 +99,7 @@ class ReductionProfile:
         return not self.roots
 
 
+@functools.lru_cache(maxsize=8)
 def profile(L: ShiftOperator) -> ReductionProfile:
     """Aggregated coefficients b_l, the degree d, indicator and its roots."""
     J = L.order

@@ -18,9 +18,9 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .operators import ReductionProfile, ShiftOperator, adjoint_apply, rational_roots
+from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
-from .poly import Polynomial, poly_gcd
+from .poly import Polynomial
 from .ratfunc import RationalFunction
 
 
@@ -44,14 +44,14 @@ class ReductionResult:
         return total
 
 
-def reduce(Q: Polynomial, L: ShiftOperator, prof: ReductionProfile | None = None) -> ReductionResult:
+def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     """Split Q into adjoint image, exceptional monomials and remainder.
 
     _back_substitute against the monomial images L*(k^s), skipping the
     indicator roots s, where L*(k^s) falls short of degree d+s; for
     d <= 0 the remainder is zero.
     """
-    prof = prof if prof is not None else operator_profile(L)
+    prof = operator_profile(L)
     coeffs = list(Q.coeffs)
     steps, exceptional = _back_substitute(coeffs, prof.d, _lazy_list(_adjoint_images(L, 0, 0)),
                                           skip=prof.roots)
@@ -114,54 +114,43 @@ def _adjoint_images(L: ShiftOperator, center, offset):
 # -- symmetry center ---------------------------------------------------------
 
 
-def _symmetry_constraints(L: ShiftOperator, d: int) -> list[Polynomial]:
-    """Polynomials in the unknown center whose common roots are the gammas.
-
-    Matching coefficients of k^t on both sides of the symmetry condition
-    gives, per pair (a_i, a_{J-i}) and per t, one polynomial equation in
-    gamma over the coefficient field.
-    """
+def _mirrored(L: ShiftOperator, gamma, d: int) -> bool:
+    """Whether a_i(gamma + k) = (-1)^d a_{J-i}(gamma - k - J) for every i."""
     J = L.order
     sign = -1 if d % 2 else 1
-    constraints = []
+    return all(L.coeffs[i].shift(gamma) == sign * L.coeffs[J - i].subst_linear(-1, gamma - J)
+               for i in range(J // 2 + 1))
+
+
+def gamma_candidates(L: ShiftOperator) -> list:
+    """The symmetry center in a list of one, or [] when there is none.
+
+    Take the first pair (a_i, a_{J-i}) whose larger degree D is at least
+    1, and l = [k^D] a_i.  Once the k^D coefficients of the condition
+    agree, its k^(D-1) coefficients are linear in gamma with slope
+    2 D l, so l = 0 leaves no center and l != 0 leaves one candidate,
+    which is then checked exactly.  A constant operator is checked at
+    the conventional center 0.
+    """
+    d, J = operator_profile(L).d, L.order
+    gamma = Fraction(0)
     for i in range(J // 2 + 1):
         lo, hi = L.coeffs[i], L.coeffs[J - i]
-        degrees = [int(p.degree) for p in (lo, hi) if not p.is_zero]
-        if not degrees:
-            continue
-        for t in range(max(degrees) + 1):
-            lhs = lo.hasse_derivative(t)
-            rhs = hi.hasse_derivative(t).shift(-J)
-            tsign = -sign if t % 2 else sign
-            e = lhs - tsign * rhs
-            if not e.is_zero:
-                constraints.append(e)
-    return constraints
-
-
-def gamma_candidates(L: ShiftOperator, prof: ReductionProfile | None = None) -> list:
-    """All centers satisfying the symmetry condition, in deterministic order.
-
-    An empty list means no center exists; a constant operator satisfies
-    the condition identically and reports the single conventional center 0.
-    """
-    prof = prof if prof is not None else operator_profile(L)
-    constraints = _symmetry_constraints(L, prof.d)
-    if not constraints:
-        return [Fraction(0)]
-    g = constraints[0]
-    for e in constraints[1:]:
-        if g.degree == 0:
+        D = max(lo.degree, hi.degree)
+        if D >= 1:
+            ell = lo.coefficient(D)
+            if not ell:
+                return []
+            sign = -1 if (d + D) % 2 else 1
+            gamma = ((D * J * ell - lo.coefficient(D - 1) - sign * hi.coefficient(D - 1))
+                     / (2 * D * ell))
             break
-        g = poly_gcd(g, e)
-    if g.degree == 1:  # solved in the coefficient field: the center may depend on z
-        return [-g.coefficient(0) / g.coefficient(1)]
-    return rational_roots(g) if g.degree > 0 else []
+    return [gamma] if _mirrored(L, gamma, d) else []
 
 
-def find_gamma(L: ShiftOperator, prof: ReductionProfile | None = None):
-    """The first symmetry center, or None when there is none."""
-    candidates = gamma_candidates(L, prof)
+def find_gamma(L: ShiftOperator):
+    """The symmetry center, or None when there is none."""
+    candidates = gamma_candidates(L)
     return candidates[0] if candidates else None
 
 
@@ -175,31 +164,21 @@ class PartibleCertificate:
 
 
 @functools.lru_cache(maxsize=8)
-def is_partible(L: ShiftOperator, prof: ReductionProfile | None = None) -> PartibleCertificate | None:
+def is_partible(L: ShiftOperator) -> PartibleCertificate | None:
     """Certificate for a nondegenerate operator with a symmetry center."""
-    prof = prof if prof is not None else operator_profile(L)
+    prof = operator_profile(L)
     if prof.roots:
         return None
-    gamma = find_gamma(L, prof)
+    gamma = find_gamma(L)
     if gamma is None:
         return None
     return PartibleCertificate(gamma, prof.d, L.order)
 
 
 def _certificate_holds(L: ShiftOperator, cert: PartibleCertificate) -> bool:
-    J = L.order
-    if J != cert.order:
-        return False
     prof = operator_profile(L)
-    if prof.roots or prof.d != cert.d:
-        return False
-    sign = -1 if cert.d % 2 else 1
-    for i in range(J // 2 + 1):
-        lhs = L.coeffs[i].shift(cert.gamma)
-        rhs = L.coeffs[J - i].subst_linear(-1, cert.gamma - J)
-        if lhs != sign * rhs:
-            return False
-    return True
+    return (L.order == cert.order and not prof.roots and prof.d == cert.d
+            and _mirrored(L, cert.gamma, cert.d))
 
 
 # -- parity-preserving reduction ----------------------------------------------

@@ -77,6 +77,24 @@ def test_gamma_command(apery_file, capsys):
                     "order": 2, "d": 3}
 
 
+@pytest.mark.parametrize("operator, expected", [
+    # a center depending on z, on an operator with indicator root 0
+    ({"order": 1, "coeffs": ["k + z", "-(k+1) - z"], "field": "Q(z)"},
+     {"gamma": "-z", "candidates": ["-z"], "partible": False, "order": 1}),
+    # constant coefficients: the conventional center 0
+    ({"order": 2, "coeffs": ["1", "3", "1"], "field": "Q"},
+     {"gamma": "0", "candidates": ["0"], "partible": True, "order": 2, "d": 0}),
+    # leading coefficients 1/z and 1: no sign makes the pair mirror
+    ({"order": 1, "coeffs": ["1/z*k + 1", "k"], "field": "Q(z)"},
+     {"gamma": None, "candidates": [], "partible": False, "order": 1}),
+], ids=["z-dependent-center", "constant", "no-center"])
+def test_gamma_command_centers(operator, expected, tmp_path, capsys):
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(operator))
+    assert main(["gamma", "--operator", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+
+
 def test_reduce_command(apery_file, capsys):
     assert main(["reduce", "--operator", apery_file,
                  "--poly=-8*(2*k+1)^3"]) == 0

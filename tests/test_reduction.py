@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from partible import reduction
 from partible.congruence import constant_table
-from partible.operators import ShiftOperator, adjoint_apply, profile
-from partible.poly import Polynomial, parity_support
+from partible.operators import ShiftOperator, adjoint_apply, profile, rational_roots
+from partible.poly import Polynomial, parity_support, poly_gcd
 from partible.ratfunc import RationalFunction, Z
 from partible.reduction import (
     NotPartible,
@@ -65,7 +67,7 @@ def test_reduce_exceptional_bucket():
     assert res.x.is_zero
     assert res.exceptional == {0: 1}
     assert res.remainder.is_zero
-    res2 = reduce(K ** 3 + 7, L, prof)
+    res2 = reduce(K ** 3 + 7, L)
     assert res2.reassemble(L, prof) == K ** 3 + 7
     assert set(res2.exceptional) <= {0}
 
@@ -85,7 +87,7 @@ def test_reduce_over_symbolic_coefficients():
     D = delannoy_operator()
     prof = profile(D)
     Q = (2 * K + 1) ** 4 - 3 * K
-    res = reduce(Q, D, prof)
+    res = reduce(Q, D)
     assert res.reassemble(D, prof) == Q
     assert res.remainder.degree < prof.d
     # the certificate itself picks up z-dependent coefficients
@@ -114,7 +116,7 @@ def test_reduce_exactness_on_200_random_instances():
         deg = rng.randint(0, 20)
         Q = Polynomial([Fraction(rng.randint(-20, 20), rng.randint(1, 4))
                         for _ in range(deg + 1)])
-        res = reduce(Q, L, prof)
+        res = reduce(Q, L)
         assert res.reassemble(L, prof) == Q
         if not res.remainder.is_zero:
             assert res.remainder.degree < prof.d
@@ -158,6 +160,102 @@ def test_is_partible():
     assert is_partible(ShiftOperator([-1, 1])) is None  # degenerate
     certd = is_partible(delannoy_operator())
     assert certd.d == 1 and certd.gamma == HALF
+
+
+def _oracle_gamma_candidates(L):
+    """The center search by constraint system: every coefficient of k^t of the
+    condition, per pair (a_i, a_{J-i}), is a polynomial in gamma; the centers
+    are the common roots, found from the gcd of all of them."""
+    J, d = L.order, profile(L).d
+    sign = -1 if d % 2 else 1
+    constraints = []
+    for i in range(J // 2 + 1):
+        lo, hi = L.coeffs[i], L.coeffs[J - i]
+        degrees = [int(p.degree) for p in (lo, hi) if not p.is_zero]
+        for t in range(max(degrees, default=-1) + 1):
+            tsign = -sign if t % 2 else sign
+            e = lo.hasse_derivative(t) - tsign * hi.hasse_derivative(t).shift(-J)
+            if not e.is_zero:
+                constraints.append(e)
+    if not constraints:
+        return [Fraction(0)]
+    g = constraints[0]
+    for e in constraints[1:]:
+        if g.degree == 0:
+            break
+        g = poly_gcd(g, e)
+    if g.degree == 1:
+        return [-g.coefficient(0) / g.coefficient(1)]
+    return rational_roots(g) if g.degree > 0 else []
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _coefficient(draw, over_qz):
+    c = Fraction(draw(_SMALL), draw(st.integers(1, 3)))
+    return c + draw(_SMALL) * Z if over_qz and draw(st.booleans()) else c
+
+
+@st.composite
+def _poly(draw, over_qz, parity=None):
+    """A polynomial of degree <= 3; with parity 0 or 1 only the powers of that parity."""
+    return Polynomial([draw(_coefficient(over_qz)) if parity in (None, j % 2) else 0
+                       for j in range(draw(st.integers(0, 4)))])
+
+
+@st.composite
+def _operators(draw):
+    """Random, mirrored (at a center that may depend on z), perturbed and constant operators."""
+    over_qz = draw(st.booleans())
+    J = draw(st.integers(0, 3))
+    kind = draw(st.sampled_from(["random", "mirror", "perturbed", "constant"]))
+    if kind in ("random", "constant"):
+        coeffs = [draw(_poly(over_qz)) for _ in range(J + 1)]
+        if kind == "constant":
+            coeffs = [Polynomial.constant(a.coefficient(0)) for a in coeffs]
+            if draw(st.booleans()):  # a constant mirror, of either sign
+                s = draw(st.sampled_from([1, -1]))
+                coeffs = [coeffs[i] if 2 * i <= J else s * coeffs[J - i] for i in range(J + 1)]
+        if coeffs[J].is_zero:
+            coeffs[J] = Polynomial.constant(1)
+        return ShiftOperator(coeffs)
+    # a_i(gamma + k) = p_i(k) and a_{J-i}(gamma - k - J) = s p_i(k); the middle p is
+    # even or odd in k + J/2
+    gamma = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 2)))
+    if over_qz:
+        gamma = gamma + draw(_SMALL) * Z
+    s = draw(st.sampled_from([1, -1]))
+    coeffs = [None] * (J + 1)
+    for i in range(J // 2 + 1):
+        if 2 * i == J:
+            p = draw(_poly(over_qz, parity=0 if s == 1 else 1)).shift(Fraction(J, 2))
+        else:
+            p = draw(_poly(over_qz))
+            if p.is_zero and i == 0:
+                p = Polynomial.constant(1)
+        coeffs[i] = p.shift(-gamma)
+        coeffs[J - i] = s * p.subst_linear(-1, gamma - J) if 2 * i != J else coeffs[i]
+    if coeffs[J].is_zero:
+        coeffs[J] = Polynomial.constant(1)
+    if kind == "perturbed":
+        i = draw(st.integers(0, J))
+        coeffs[i] = coeffs[i] + draw(_coefficient(over_qz)) * K ** draw(st.integers(0, 4))
+        if coeffs[J].is_zero:
+            coeffs[J] = Polynomial.constant(1)
+    return ShiftOperator(coeffs)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_operators())
+def test_gamma_candidates_match_constraint_gcd_search(L):
+    expected = _oracle_gamma_candidates(L)
+    candidates = gamma_candidates(L)
+    assert candidates == expected and len(candidates) <= 1
+    prof = profile(L)
+    assert is_partible(L) == (PartibleCertificate(expected[0], prof.d, L.order)
+                              if expected and not prof.roots else None)
 
 
 # -- parity-preserving reduction ------------------------------------------------
@@ -216,7 +314,7 @@ def test_plain_and_parity_preserving_reductions_agree():
         w = center_scale(cert.gamma) * (K - cert.gamma)
         prof = profile(L)
         for m in range(m_max + 1):
-            plain = reduce(w ** m, L, prof)
+            plain = reduce(w ** m, L)
             red = partible_reduce(m, L, cert)
             assert plain.exceptional == {}
             assert plain.remainder == sum((u * w ** i for i, u in red.u_coeffs.items()),
