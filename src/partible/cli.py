@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
-from .poly import parse_polynomial, poly_to_text
+from .poly import MAX_EXPONENT, parse_polynomial, poly_to_text
 from .ratfunc import RationalFunction
 from .reduction import gamma_candidates, is_partible, reduce
 from .sequences import guess_annihilator
@@ -78,8 +78,15 @@ def cmd_reduce(args) -> int:
     return 0
 
 
+def _r_max(r_max: int) -> int:
+    """r_max, refused when the power 2r+2 passes the parser's exponent limit."""
+    if 2 * r_max + 2 > MAX_EXPONENT:
+        raise ValueError(f"--r-max {r_max} needs the power {2 * r_max + 2}, above {MAX_EXPONENT}")
+    return r_max
+
+
 def cmd_constants(args) -> int:
-    table = constant_table(args.family, args.r_max, z=args.z)
+    table = constant_table(args.family, _r_max(args.r_max), z=args.z)
     support = sorted(table.denominator_support)
     if args.json:
         data = {
@@ -101,7 +108,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = sweep(args.family, args.r_max, args.p_max, z_values=args.z,
+    reports = sweep(args.family, _r_max(args.r_max), args.p_max, z_values=args.z,
                     power_parity=args.parity)
     for report in reports:
         print(json.dumps(report.to_dict()))

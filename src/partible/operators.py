@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_gcd, poly_to_text
-from .ratfunc import RationalFunction, _horner
+from .ratfunc import RationalFunction, _horner, clear_denominators
 
 
 class InsufficientTerms(ValueError):
@@ -177,8 +177,7 @@ def rational_roots(f: Polynomial) -> list:
             if fz:
                 return [r for r in rational_roots(fz) if not f.eval(r)]
     qs = [c.as_fraction() if isinstance(c, RationalFunction) else c for c in f.coeffs]
-    den = math.lcm(*(q.denominator for q in qs))
-    ints = [int(q * den) for q in qs]
+    ints, _ = clear_denominators(qs)
     v = next(i for i, c in enumerate(ints) if c)
     ints = ints[v:]
     roots = [Fraction(0)] if v else []

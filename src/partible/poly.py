@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 
 from .ratfunc import (
-    RationalFunction, Z, _add, _divmod, _gcd, _horner, _mul, _neg, _pow, _scale, format_coeffs,
+    RationalFunction, Z, _add, _divmod, _gcd, _horner, _mul, _neg, _pow, _scale, clear_denominators,
+    format_coeffs,
 )
 
 #: degree of the zero polynomial
@@ -165,9 +166,8 @@ class Polynomial:
         over_q = isinstance(b, (int, Fraction)) and all(isinstance(c, Fraction) for c in cs)
         if over_q:
             u, v = Fraction(b).as_integer_ratio()
-            den = math.lcm(*(c.denominator for c in cs))
-            cs = [c.numerator * (den // c.denominator) * v ** (n - 1 - i)
-                  for i, c in enumerate(cs)]
+            cs, den = clear_denominators(cs)
+            cs = [c * v ** (n - 1 - i) for i, c in enumerate(cs)]
         else:
             u = b
         if u:

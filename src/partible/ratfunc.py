@@ -12,6 +12,7 @@ and poly.Polynomial; their entries may be Fraction or RationalFunction.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -93,12 +94,48 @@ def _gcd(a, b):
     return a
 
 
+def _exquo(a, g):
+    """a / g for a divisor g of a; g = 1 costs nothing."""
+    return a if g == _ONE else _divmod(a, g)[0]
+
+
 def _horner(coeffs, x):
     """Exact value at x; the zero polynomial gives 0."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+def clear_denominators(values) -> tuple[list, object]:
+    """(nums, D) with values[i] = nums[i] / D, D the least common denominator.
+
+    Over Q (int and Fraction values) nums and D are ints, D > 0.  When any
+    value is a RationalFunction they are RationalFunctions with
+    denominator 1, D monic, whose sums and products need no gcd.
+    """
+    if not any(isinstance(v, RationalFunction) for v in values):
+        den = math.lcm(*(v.denominator for v in values))
+        return [v.numerator * (den // v.denominator) for v in values], den
+    rfs = [RationalFunction._coerce(v) for v in values]
+    den = _ONE
+    for v in rfs:
+        den = _mul(den, _exquo(v.den, _gcd(den, v.den)))
+    return ([RationalFunction._canonical(_mul(v.num, _exquo(den, v.den))) for v in rfs],
+            RationalFunction._canonical(den))
+
+
+def cancel_common(a, b) -> tuple:
+    """(a/g, b/g) for g = gcd(a, b), a != 0, in the ring of clear_denominators.
+
+    g is normalised so that a/g is positive over Z and monic over Q[z].
+    """
+    if isinstance(a, int):
+        g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
+        return a // g, b // g
+    g = _scale(_gcd(a.num, b.num), a.num[-1])
+    return (RationalFunction._canonical(_exquo(a.num, g)),
+            RationalFunction._canonical(_exquo(b.num, g)))
 
 
 def format_coeffs(coeffs, var: str = "z") -> str:
@@ -131,31 +168,17 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num=(), den=(Fraction(1),)):
-        num = _as_fractions(num)
-        den = _as_fractions(den)
-        if not den:
-            raise ZeroDivisionError("zero denominator in rational function")
-        if not num:
-            den = (Fraction(1),)
-        else:
-            g = _gcd(num, den)
-            if len(g) > 1:
-                num = _divmod(num, g)[0]
-                den = _divmod(den, g)[0]
-            lead = den[-1]
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num = _scale(num, inv)
-                den = _scale(den, inv)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        num, den = (RationalFunction._canonical(_as_fractions(p)) for p in (num, den))
+        q = num / den
+        object.__setattr__(self, "num", q.num)
+        object.__setattr__(self, "den", q.den)
 
     @classmethod
     def _canonical(cls, num: tuple, den: tuple = _ONE) -> "RationalFunction":
         """num/den, given as trimmed Fraction tuples already in lowest terms, den monic.
 
-        Skips the gcd normalisation, e.g. for sums and products of
-        polynomials (den = 1) and for negation.
+        Skips the gcd normalisation: sums and products split by gcds first
+        (Henrici), so their results are in lowest terms already.
         """
         out = object.__new__(cls)
         object.__setattr__(out, "num", num)
@@ -186,12 +209,18 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == _ONE == other.den:
+        b, d = self.den, other.den
+        if b == _ONE == d:
             return RationalFunction._canonical(_add(self.num, other.num))
-        return RationalFunction(
-            _add(_mul(self.num, other.den), _mul(other.num, self.den)),
-            _mul(self.den, other.den),
-        )
+        # Henrici: with g = gcd(b, d), a/b + c/d = t / (b/g * d) for
+        # t = a d/g + c b/g, and only gcd(t, g) can divide both
+        g = _ONE if b == _ONE or d == _ONE else _gcd(b, d)
+        bg, dg = _exquo(b, g), _exquo(d, g)
+        t = _add(_mul(self.num, dg), _mul(other.num, bg))
+        if not t:
+            return RationalFunction._canonical(())
+        h = _ONE if g == _ONE else _gcd(t, g)
+        return RationalFunction._canonical(_exquo(t, h), _mul(bg, _exquo(d, h)))
 
     __radd__ = __add__
 
@@ -217,9 +246,14 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.den == _ONE == other.den:
-            return RationalFunction._canonical(_mul(self.num, other.num))
-        return RationalFunction(_mul(self.num, other.num), _mul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == _ONE == d or not a or not c:
+            return RationalFunction._canonical(_mul(a, c))
+        # Henrici: cancel gcd(a, d) and gcd(c, b) before multiplying
+        g = _ONE if d == _ONE else _gcd(a, d)
+        h = _ONE if b == _ONE else _gcd(c, b)
+        return RationalFunction._canonical(_mul(_exquo(a, g), _exquo(c, h)),
+                                           _mul(_exquo(b, h), _exquo(d, g)))
 
     __rmul__ = __mul__
 
@@ -229,7 +263,8 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(_mul(self.num, other.den), _mul(self.den, other.num))
+        inv = Fraction(1) / other.num[-1]
+        return self * RationalFunction._canonical(_scale(other.den, inv), _scale(other.num, inv))
 
     def __rtruediv__(self, other):
         other = self._coerce(other)

@@ -15,13 +15,14 @@ parity-preserving reduction.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, cancel_common, clear_denominators
 
 
 class NotPartible(ValueError):
@@ -52,37 +53,60 @@ def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     d <= 0 the remainder is zero.
     """
     prof = operator_profile(L)
-    coeffs = list(Q.coeffs)
-    steps, exceptional = _back_substitute(coeffs, prof.d, _lazy_list(_adjoint_images(L, 0, 0)),
-                                          skip=prof.roots)
-    x = Polynomial([steps.get(s, 0) for s in range(len(coeffs) - prof.d)])
-    return ReductionResult(x, exceptional, Polynomial(coeffs))
+    over_qz = L.field == "Q(z)" or any(isinstance(c, RationalFunction) for c in Q.coeffs)
+    images = (_ring_vector(image.coeffs, over_qz) for image in _adjoint_images(L, 0, 0))
+    steps, exceptional, remainder = _back_substitute(
+        *_ring_vector(Q.coeffs, over_qz), prof.d, _lazy_list(images), skip=prof.roots)
+    x = Polynomial([steps.get(s, 0) for s in range(len(Q.coeffs) - prof.d)])
+    return ReductionResult(x, exceptional, Polynomial(remainder))
 
 
-def _back_substitute(coeffs: list, d: int, image, skip=frozenset()) -> tuple[dict, dict]:
-    """Cancel the terms of degree >= d in coeffs, in place, from the top down.
+def _ring_vector(values, over_qz: bool) -> tuple[list, object]:
+    """values over their common denominator, in Z or, when over_qz, in Q[z]."""
+    return clear_denominators([RationalFunction._coerce(v) for v in values] if over_qz else values)
 
-    The term of degree d+j is moved out whole when j is in skip, and is
-    otherwise cancelled with image(j), a polynomial of degree exactly d+j.
-    Returns the steps {j: factor} and the moved terms {j: c}; what is left
-    in coeffs, all below degree d, is the remainder.
+
+def _quotient(a, b):
+    """a / b in the field of the ring elements a and b."""
+    return Fraction(a, b) if isinstance(b, int) else a / b
+
+
+def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[dict, dict, list]:
+    """Cancel the terms of degree >= d of rem/den from the top down, fraction-free.
+
+    rem and den are a _ring_vector.  The term of degree d+j is moved out
+    whole when j is in skip, and is otherwise cancelled with image(j) =
+    (I, E), the ring vector of a polynomial of degree exactly d+j: for c
+    the top entry of rem and g = gcd(c, I[d+j]),
+
+        rem <- (I[d+j]/g) rem - (c/g) I,    den <- (I[d+j]/g) den,
+
+    and over Z rem and den are then divided by their content.  Returns
+    the steps {j: factor}, the moved terms {j: c} and the remainder of
+    degree < d, each divided out in the field.
     """
+    rem = list(rem)
     steps, moved = {}, {}
-    for deg in range(len(coeffs) - 1, max(d, 0) - 1, -1):
-        c, j = coeffs[deg], deg - d
+    for deg in range(len(rem) - 1, max(d, 0) - 1, -1):
+        c, j = rem.pop(), deg - d
         if not c:
             continue
         if j in skip:
-            moved[j] = c
-            coeffs[deg] -= c
+            moved[j] = _quotient(c, den)
             continue
-        target = image(j).coeffs
+        target, scale = image(j)
         if len(target) - 1 != deg:
             raise AssertionError(f"adjoint image {j} has degree {len(target) - 1}, expected {deg}")
-        steps[j] = step = c / target[deg]
-        for i, tc in enumerate(target):
-            coeffs[i] -= step * tc
-    return steps, moved
+        a, b = cancel_common(target[deg], c)
+        den = a * den
+        steps[j] = _quotient(b * scale, den)
+        rem = [a * r - b * t for r, t in zip(rem, target)]
+        if isinstance(den, int):
+            content = math.gcd(den, *rem)
+            if content > 1:
+                den //= content
+                rem = [r // content for r in rem]
+    return steps, moved, [_quotient(r, den) for r in rem]
 
 
 def _lazy_list(items):
@@ -224,6 +248,8 @@ class AdjointBasis:
         self.L, self.cert = L, cert
         self._image = _lazy_list(_adjoint_images(L, cert.gamma, Fraction(cert.order, 2)))
         self._audited: set = set()
+        self._ring: dict = {}
+        self.over_qz = L.field == "Q(z)"
 
     def image(self, j: int) -> Polynomial:
         """L*(x_j) for alpha_j = 1, as a polynomial in t = k - gamma."""
@@ -233,6 +259,12 @@ class AdjointBasis:
                 raise AssertionError(f"adjoint image {j} failed exactness audit")
             self._audited.add(j)
         return image
+
+    def ring_image(self, j: int) -> tuple[list, object]:
+        """The _ring_vector (I, E) of image(j) = I/E, converted once."""
+        if j not in self._ring:
+            self._ring[j] = _ring_vector(self.image(j).coeffs, self.over_qz)
+        return self._ring[j]
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,7 +299,8 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     _back_substitute against adjoint_basis(L, cert) in the centered
     coordinates, where L*(x_j) has only powers of the parity of d+j, so
     the u_i left below degree d share the parity of m.  The identity
-    above is checked in centered coordinates before returning.
+    above, times the common denominator of u, v and alpha, is checked
+    in centered coordinates and ring arithmetic before returning.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
@@ -277,20 +310,27 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
         alpha = default_alpha(cert.gamma)
     beta = center_scale(cert.gamma)
 
-    # coefficient vector of w^m in powers of (k - gamma)
-    coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
-    steps, _ = _back_substitute(coeffs, d, basis.image)
-    u_coeffs = {i: c / Fraction(beta) ** i for i, c in enumerate(coeffs) if c}
+    # w^m in powers of (k - gamma)
+    rem, den = _ring_vector([0] * m + [beta ** m], basis.over_qz)
+    steps, _, remainder = _back_substitute(rem, den, d, basis.ring_image)
+    u_coeffs = {i: c / Fraction(beta) ** i for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
     if leaks:
         raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
     alphas = {j: alpha(j) for j in steps}
     v_coeffs = {j: step / alphas[j] for j, step in steps.items()}
 
-    total = Polynomial([u_coeffs.get(i, 0) * Fraction(beta) ** i for i in range(max(d, 0))])
-    for j, v in v_coeffs.items():
-        total = total + v * alphas[j] * basis.image(j)
-    if total != Polynomial.monomial(m, Fraction(beta) ** m):
+    # the identity times the common denominator D of its coefficients, in Z or Q[z]:
+    # D w^m = sum_i U_i (k - gamma)^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
+    low = max(d, 0)
+    nums, D = _ring_vector([u_coeffs.get(i, 0) * beta ** i for i in range(low)]
+                           + [v * alphas[j] / basis.ring_image(j)[1] for j, v in v_coeffs.items()],
+                           basis.over_qz)
+    total = nums[:low] + [0] * (max(m + 1, low) - low)
+    for j, V in zip(v_coeffs, nums[low:]):
+        for i, t in enumerate(basis.ring_image(j)[0]):
+            total[i] += V * t
+    if total != [0] * m + [D * beta ** m] + [0] * (len(total) - m - 1):
         raise AssertionError("reduction identity failed exactness audit")
     return PartibleReduction(m, cert.gamma, beta, u_coeffs, v_coeffs, alphas)
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
-from .ratfunc import RationalFunction, Z
+from .ratfunc import RationalFunction, Z, clear_denominators
 
 
 class UnknownFamily(ValueError):
@@ -198,9 +198,7 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     need = (max_order + 1) * (max_deg + 2) + max_order
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")
-    terms = [Fraction(t) for t in terms]
-    den = math.lcm(*(t.denominator for t in terms))
-    terms = [t.numerator * (den // t.denominator) for t in terms]
+    terms, _ = clear_denominators([Fraction(t) for t in terms])
     for order in range(max_order + 1):
         for deg in range(max_deg + 1):
             sol = _nullspace_solution(terms, order, deg)

@@ -323,3 +323,25 @@ def test_deep_nesting_exits_2_and_sign_runs_parse(apery_file, capsys):
         assert captured.err.startswith("error: ") and f"(column {column})" in captured.err
     assert main(["reduce", "--operator", apery_file, "--poly=" + "-" * 1200 + "k"]) == 0
     assert json.loads(capsys.readouterr().out)["remainder"] == "k"
+
+
+def test_symbolic_delannoy_reduce_of_k40_is_quick(tmp_path):
+    # each step of the fraction-free loop multiplies by a polynomial in z instead
+    # of normalising a rational function; in the field this took about 30 s
+    op = tmp_path / "delannoy.json"
+    op.write_text(json.dumps({"order": 2, "coeffs": ["k+1", "-(2*k+3)*(2*z+1)", "k+2"],
+                              "field": "Q(z)"}))
+    proc = _run_cli(["reduce", "--operator", str(op), "--poly", "k^40"], timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["remainder"] != "0"
+
+
+@pytest.mark.parametrize("command", [["constants"], ["verify", "--p-max", "7"]],
+                         ids=["constants", "verify"])
+def test_r_max_is_bounded_by_the_exponent_limit(command, capsys):
+    # 2r+2 = 1002 passes poly.MAX_EXPONENT = 1000
+    argv = [command[0], "--family", "apery", "--r-max", "500", *command[1:]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "above 1000" in captured.err

@@ -18,7 +18,7 @@ from partible.poly import (
     parse_polynomial,
     poly_to_text,
 )
-from partible.ratfunc import RationalFunction, Z
+from partible.ratfunc import RationalFunction, Z, _add, _divmod, _gcd, _mul, _neg, _scale
 
 K = Polynomial.variable()
 
@@ -118,6 +118,62 @@ def test_polynomial_fast_path_matches_normalising_constructor(a, b, c):
         full = RationalFunction(coeffs)
         assert (fast.num, fast.den) == (full.num, full.den)
         assert all(type(x) is Fraction for x in fast.num + fast.den)
+
+
+def _lowest_terms(num, den):
+    """num/den normalised as the constructor did before sums and products split
+    by gcds: divide by the monic gcd, then make the denominator monic."""
+    if not num:
+        return (), (Fraction(1),)
+    g = _gcd(num, den)
+    num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+    return _scale(num, 1 / den[-1]), _scale(den, 1 / den[-1])
+
+
+_Z_POLY = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4)
+_Z_DEN = _Z_POLY.filter(any)
+
+
+@st.composite
+def _rational_function_pairs(draw):
+    """Two elements x, y of Q(z) built so that each cancellation happens: both
+    denominators may share a factor, y's numerator may carry x's denominator,
+    and y may be s - x, so that x + y = s has the smaller denominator of s."""
+    common = draw(_Z_DEN)
+
+    def one():
+        num, den, f = draw(_Z_POLY), draw(_Z_DEN), draw(_Z_DEN)
+        if draw(st.booleans()):
+            num, den = _mul(num, f), _mul(den, f)
+        return RationalFunction(num, _mul(den, common) if draw(st.booleans()) else den)
+
+    x, y = one(), one()
+    kind = draw(st.sampled_from(["plain", "cross", "difference"]))
+    if kind == "cross":
+        y = RationalFunction(_mul(y.num, x.den), y.den)
+    elif kind == "difference":
+        s = one()
+        y = RationalFunction(_add(_mul(s.num, x.den), _neg(_mul(x.num, s.den))), _mul(s.den, x.den))
+    return x, y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_rational_function_pairs())
+def test_henrici_arithmetic_matches_the_normalising_constructor(pair):
+    x, y = pair
+    a, b, c, d = x.num, x.den, y.num, y.den
+    cases = [(x + y, _add(_mul(a, d), _mul(c, b)), _mul(b, d)),
+             (x - y, _add(_mul(a, d), _neg(_mul(c, b))), _mul(b, d)),
+             (x * y, _mul(a, c), _mul(b, d))]
+    if y:
+        cases.append((x / y, _mul(a, d), _mul(b, c)))
+    for got, num, den in cases:
+        full = RationalFunction(num, den)
+        assert (got.num, got.den) == _lowest_terms(num, den) == (full.num, full.den)
+        # _canonical's invariant: lowest terms, monic denominator, trimmed Fraction tuples
+        assert _gcd(got.num, got.den) == (1,) if got.num else got.den == (1,)
+        assert got.den[-1] == 1 and (not got.num or got.num[-1])
+        assert all(type(v) is Fraction for v in got.num + got.den)
 
 
 def test_expand_in_center_examples():

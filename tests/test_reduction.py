@@ -193,26 +193,32 @@ _SMALL = st.integers(-3, 3)
 
 
 @st.composite
-def _coefficient(draw, over_qz):
+def _coefficient(draw, over_qz, zden=False):
+    """A small rational; over Q(z) maybe plus a multiple of z, and with zden of 1/(z + b)."""
     c = Fraction(draw(_SMALL), draw(st.integers(1, 3)))
+    if over_qz and zden and draw(st.booleans()):
+        c = c + draw(st.integers(1, 3)) / (Z + draw(st.integers(1, 3)))
     return c + draw(_SMALL) * Z if over_qz and draw(st.booleans()) else c
 
 
 @st.composite
-def _poly(draw, over_qz, parity=None):
+def _poly(draw, over_qz, parity=None, zden=False):
     """A polynomial of degree <= 3; with parity 0 or 1 only the powers of that parity."""
-    return Polynomial([draw(_coefficient(over_qz)) if parity in (None, j % 2) else 0
+    return Polynomial([draw(_coefficient(over_qz, zden)) if parity in (None, j % 2) else 0
                        for j in range(draw(st.integers(0, 4)))])
 
 
 @st.composite
-def _operators(draw):
-    """Random, mirrored (at a center that may depend on z), perturbed and constant operators."""
+def _operators(draw, zden=False):
+    """Random, mirrored (at a center that may depend on z), perturbed and constant operators.
+
+    With zden the coefficients over Q(z) may also have z in denominators.
+    """
     over_qz = draw(st.booleans())
     J = draw(st.integers(0, 3))
     kind = draw(st.sampled_from(["random", "mirror", "perturbed", "constant"]))
     if kind in ("random", "constant"):
-        coeffs = [draw(_poly(over_qz)) for _ in range(J + 1)]
+        coeffs = [draw(_poly(over_qz, zden=zden)) for _ in range(J + 1)]
         if kind == "constant":
             coeffs = [Polynomial.constant(a.coefficient(0)) for a in coeffs]
             if draw(st.booleans()):  # a constant mirror, of either sign
@@ -230,9 +236,9 @@ def _operators(draw):
     coeffs = [None] * (J + 1)
     for i in range(J // 2 + 1):
         if 2 * i == J:
-            p = draw(_poly(over_qz, parity=0 if s == 1 else 1)).shift(Fraction(J, 2))
+            p = draw(_poly(over_qz, parity=0 if s == 1 else 1, zden=zden)).shift(Fraction(J, 2))
         else:
-            p = draw(_poly(over_qz))
+            p = draw(_poly(over_qz, zden=zden))
             if p.is_zero and i == 0:
                 p = Polynomial.constant(1)
         coeffs[i] = p.shift(-gamma)
@@ -241,7 +247,7 @@ def _operators(draw):
         coeffs[J] = Polynomial.constant(1)
     if kind == "perturbed":
         i = draw(st.integers(0, J))
-        coeffs[i] = coeffs[i] + draw(_coefficient(over_qz)) * K ** draw(st.integers(0, 4))
+        coeffs[i] = coeffs[i] + draw(_coefficient(over_qz, zden)) * K ** draw(st.integers(0, 4))
         if coeffs[J].is_zero:
             coeffs[J] = Polynomial.constant(1)
     return ShiftOperator(coeffs)
@@ -401,3 +407,83 @@ def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases)
     assert len(calls) == 20 and len(set(calls)) == 20
     assert table.entries[20] == constant_table("apery", 20).entries[20]
     assert len(calls) == 20  # the second table reuses the cached basis
+
+
+# -- the fraction-free loop against the Fraction loop ---------------------------
+
+
+def _fraction_back_substitute(coeffs, d, image, skip=frozenset()):
+    """The loop before it went fraction-free: each step divides in the field, in place."""
+    steps, moved = {}, {}
+    for deg in range(len(coeffs) - 1, max(d, 0) - 1, -1):
+        c, j = coeffs[deg], deg - d
+        if not c:
+            continue
+        if j in skip:
+            moved[j] = c
+            coeffs[deg] -= c
+            continue
+        target = image(j).coeffs
+        assert len(target) - 1 == deg
+        steps[j] = step = c / target[deg]
+        for i, tc in enumerate(target):
+            coeffs[i] -= step * tc
+    return steps, moved
+
+
+def _oracle_reduce(Q, L):
+    prof = profile(L)
+    coeffs = list(Q.coeffs)
+    images = reduction._lazy_list(reduction._adjoint_images(L, 0, 0))
+    steps, moved = _fraction_back_substitute(coeffs, prof.d, images, skip=prof.roots)
+    x = Polynomial([steps.get(s, 0) for s in range(len(coeffs) - prof.d)])
+    return x, moved, Polynomial(coeffs)
+
+
+def _oracle_partible_reduce(m, L, cert):
+    beta, alpha = center_scale(cert.gamma), default_alpha(cert.gamma)
+    coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
+    steps, _ = _fraction_back_substitute(coeffs, cert.d, reduction.adjoint_basis(L, cert).image)
+    return ({i: c / Fraction(beta) ** i for i, c in enumerate(coeffs) if c},
+            {j: step / alpha(j) for j, step in steps.items()},
+            {j: alpha(j) for j in steps})
+
+
+@st.composite
+def _degenerate_operators(draw):
+    """c (-(k + p) + (k + q) sigma): the indicator s + q - 1 - p has the root p + 1 - q >= 0."""
+    q = draw(st.integers(-2, 2))
+    p = q - 1 + draw(st.integers(0, 3))
+    c = draw(_coefficient(draw(st.booleans()), zden=True)) or 1
+    return ShiftOperator([-c * (K + p), c * (K + q)])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(_operators(zden=True), _degenerate_operators()), st.data())
+def test_fraction_free_loop_matches_the_fraction_loop(L, data):
+    over_qz = L.field == "Q(z)"
+    n = data.draw(st.sampled_from([0, 1, 4, 9]))  # zero, constant and longer Q
+    Q = Polynomial(data.draw(st.lists(_coefficient(over_qz, zden=True), min_size=n, max_size=n)))
+    res = reduce(Q, L)
+    assert (res.x, res.exceptional, res.remainder) == _oracle_reduce(Q, L)
+    cert = is_partible(L)
+    if cert is not None:
+        # m = 0 and m = d - 1 reduce to themselves when d > 1
+        for m in sorted({0, max(cert.d - 1, 0), data.draw(st.integers(0, 9))}):
+            red = partible_reduce(m, L, cert)
+            assert (red.m, red.gamma, red.basis_scale) == (m, cert.gamma, center_scale(cert.gamma))
+            assert (red.u_coeffs, red.v_coeffs, red.alphas) == _oracle_partible_reduce(m, L, cert)
+
+
+def test_cleared_identity_audit_is_live(monkeypatch):
+    loop = reduction._back_substitute
+
+    def one_step_off(*args, **kwargs):
+        steps, moved, remainder = loop(*args, **kwargs)
+        steps[min(steps)] += 1
+        return steps, moved, remainder
+
+    monkeypatch.setattr(reduction, "_back_substitute", one_step_off)
+    for L in (apery_operator(), delannoy_operator()):
+        with pytest.raises(AssertionError, match="reduction identity failed exactness audit"):
+            partible_reduce(7, L, is_partible(L))
