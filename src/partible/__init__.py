@@ -24,7 +24,6 @@ from .exact import (
     Residue,
     is_prime,
     legendre_symbol,
-    padic_valuation,
     primes_in_range,
     rational_to_residue,
 )
@@ -45,7 +44,6 @@ from .operators import (
 from .poly import (
     Polynomial,
     PolynomialSyntaxError,
-    falling_factorial_value,
     parity_support,
     parse_polynomial,
     poly_to_text,

@@ -11,12 +11,10 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import MAX_EXPONENT, parse_polynomial, poly_to_text
-from .ratfunc import RationalFunction
 from .reduction import gamma_candidates, is_partible, reduce
 from .sequences import guess_annihilator
 
@@ -28,12 +26,6 @@ def _load_json(path: str):
 
 def _load_operator(path: str):
     return operator_from_dict(_load_json(path))
-
-
-def _value_text(c) -> str:
-    if isinstance(c, RationalFunction):
-        return str(c)
-    return str(Fraction(c))
 
 
 def cmd_profile(args) -> int:
@@ -54,8 +46,8 @@ def cmd_gamma(args) -> int:
     candidates = gamma_candidates(L)
     cert = is_partible(L)
     data = {
-        "gamma": _value_text(candidates[0]) if candidates else None,
-        "candidates": [_value_text(c) for c in candidates],
+        "gamma": str(candidates[0]) if candidates else None,
+        "candidates": [str(c) for c in candidates],
         "partible": cert is not None,
         "order": L.order,
     }
@@ -66,12 +58,14 @@ def cmd_gamma(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    L = _load_operator(args.operator)
-    Q = parse_polynomial(args.poly, L.field)
+    spec = _load_json(args.operator)
+    L = operator_from_dict(spec)
+    # the declared field: L.field reads Q when no coefficient holds z
+    Q = parse_polynomial(args.poly, spec.get("field", "Q"))
     result = reduce(Q, L)
     data = {
         "x": poly_to_text(result.x),
-        "exceptional": {str(s): _value_text(c) for s, c in sorted(result.exceptional.items())},
+        "exceptional": {str(s): str(c) for s, c in sorted(result.exceptional.items())},
         "remainder": poly_to_text(result.remainder),
     }
     print(json.dumps(data))
@@ -92,7 +86,7 @@ def cmd_constants(args) -> int:
         data = {
             "family": args.family,
             "entries": [
-                {"r": r, "c": _value_text(c)} for r, c in sorted(table.entries.items())
+                {"r": r, "c": str(c)} for r, c in sorted(table.entries.items())
             ],
             "denominator_support": support,
             "z_in_denominator": table.z_in_denominator,
@@ -101,7 +95,7 @@ def cmd_constants(args) -> int:
     else:
         print(f"family: {args.family}")
         for r, c in sorted(table.entries.items()):
-            print(f"  r={r:<3d} c_r = {_value_text(c)}")
+            print(f"  r={r:<3d} c_r = {c}")
         z_note = " and z" if table.z_in_denominator else ""
         print(f"denominator primes: {support or 'none'}{z_note}")
     return 0

@@ -98,6 +98,7 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     after checking exactly that.
     """
     rule, parity = _rule(family, power_parity, z)
+    _require(z != 0, f"{family} needs a nonzero integer z")
     if r < 0:
         raise ValueError("r must be nonnegative")
     if power_parity is None:

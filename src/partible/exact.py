@@ -1,4 +1,4 @@
-"""Number-theoretic primitives: primes, residues, valuations.
+"""Number-theoretic primitives: primes, the Legendre symbol, residues.
 
 Python ints are the unbounded integers throughout the package and
 fractions.Fraction supplies exact rationals in lowest terms, so this
@@ -63,30 +63,10 @@ def legendre_symbol(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def padic_valuation(q, p: int):
-    """v_p of an integer or Fraction; math.inf for zero, never a sentinel."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    q = Fraction(q)
-    if q == 0:
-        return math.inf
-
-    def vp(n: int) -> int:
-        n = abs(n)
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        return v
-
-    return vp(q.numerator) - vp(q.denominator)
-
-
 class Residue:
-    """An element of Z/mZ that carries its modulus.
-
-    Arithmetic is closed within one ring; mixing moduli raises instead of
-    silently reducing, which keeps mod-p and mod-p^3 data apart.
+    """An element of Z/mZ that carries its modulus: an immutable value in
+    [0, m) with the m it was reduced by, so equal values mod different
+    moduli compare unequal.  It has no arithmetic; callers read `.value`.
     """
 
     __slots__ = ("value", "modulus")
@@ -99,64 +79,6 @@ class Residue:
 
     def __setattr__(self, name, value):
         raise AttributeError("Residue is immutable")
-
-    def __reduce__(self):
-        return (Residue, (self.value, self.modulus))
-
-    def _lift(self, other):
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ValueError(
-                    f"mixed moduli: {self.modulus} vs {other.modulus}"
-                )
-            return other
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        return None
-
-    def __add__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Residue(self.value + other.value, self.modulus)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Residue(self.value - other.value, self.modulus)
-
-    def __rsub__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        if other is None:
-            return NotImplemented
-        return Residue(self.value * other.value, self.modulus)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        return Residue(pow(self.value, n, self.modulus), self.modulus)
-
-    def inverse(self) -> "Residue":
-        try:
-            return Residue(pow(self.value, -1, self.modulus), self.modulus)
-        except ValueError:
-            raise NonInvertibleDenominator(
-                f"{self.value} is not invertible mod {self.modulus}"
-            ) from None
 
     def __eq__(self, other):
         if isinstance(other, Residue):

@@ -44,9 +44,6 @@ class ShiftOperator:
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
 
-    def __reduce__(self):
-        return (ShiftOperator, (self.coeffs,))
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1

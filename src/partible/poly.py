@@ -53,9 +53,6 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
-    def __reduce__(self):
-        return (Polynomial, (self.coeffs,))
-
     @classmethod
     def constant(cls, c) -> "Polynomial":
         return cls((c,))
@@ -217,16 +214,6 @@ def parity_support(coeffs) -> str:
     if has_odd:
         return "odd"
     return "zero"
-
-
-def falling_factorial_value(s, ell: int):
-    """s(s-1)...(s-ell+1); the empty product for ell = 0 is 1."""
-    if ell < 0:
-        raise ValueError("falling factorial needs a nonnegative length")
-    acc = Fraction(1)
-    for i in range(ell):
-        acc = acc * (s - i)
-    return acc
 
 
 # -- text form --------------------------------------------------------------
@@ -392,7 +379,6 @@ __all__ = [
     "NEG_INF",
     "Polynomial",
     "PolynomialSyntaxError",
-    "falling_factorial_value",
     "parity_support",
     "parse_polynomial",
     "poly_gcd",

@@ -188,9 +188,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    def __reduce__(self):
-        return (RationalFunction, (self.num, self.den))
-
     @classmethod
     def constant(cls, value) -> "RationalFunction":
         return cls((Fraction(value),))
@@ -226,9 +223,6 @@ class RationalFunction:
 
     def __neg__(self):
         return RationalFunction._canonical(_neg(self.num), self.den)
-
-    def __pos__(self):
-        return self
 
     def __sub__(self, other):
         other = self._coerce(other)

@@ -9,8 +9,9 @@ import pytest
 from partible import congruence
 from partible.cli import main
 from partible.congruence import CongruenceReport
-from partible.operators import operator_to_dict, profile
+from partible.operators import operator_from_dict, operator_to_dict, profile
 from partible.poly import parse_polynomial
+from partible.reduction import ReductionResult
 from partible.sequences import apery_operator, apery_terms, delannoy_operator
 
 APERY_JSON = {
@@ -68,6 +69,19 @@ def test_reduce_command_over_qz(tmp_path, capsys):
     assert main(["reduce", "--operator", str(dfile), "--poly", "(2*k+1)^2"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["remainder"] == "(1)/(z)"
+
+
+def test_reduce_command_parses_with_the_declared_field(tmp_path, capsys):
+    # declared Q(z), but no coefficient holds z: --poly may still use z
+    data = {"order": 2, "coeffs": ["k+1", "-(2*k+3)*3", "k+2"], "field": "Q(z)"}
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    assert main(["reduce", "--operator", str(path), "--poly", "z*k^3"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["exceptional"] == {}
+    result = ReductionResult(parse_polynomial(out["x"], "Q(z)"), {},
+                             parse_polynomial(out["remainder"], "Q(z)"))
+    assert result.reassemble(operator_from_dict(data)) == parse_polynomial("z*k^3", "Q(z)")
 
 
 def test_gamma_command(apery_file, capsys):
@@ -246,13 +260,14 @@ def test_malformed_operator_json_exits_2(data, tmp_path, capsys):
     ["verify", "--family", "apery", "--r-max", "-1", "--p-max", "50"],
     ["verify", "--family", "apery", "--r-max", "1", "--p-max", "3"],
     ["verify", "--family", "delannoy_poly", "--r-max", "1", "--p-max", "50", "--z", "0"],
+    ["constants", "--family", "delannoy_poly", "--r-max", "1", "--z", "0"],
     ["constants", "--family", "apery", "--r-max", "-3"],
     ["constants", "--family", "apery", "--r-max", "2", "--z", "7"],
     ["verify", "--family", "apery", "--parity", "even", "--r-max", "2", "--p-max", "40"],
     ["guess", "--terms", "TERMS", "--order", "-1", "--deg", "2"],
     ["guess", "--terms", "TERMS", "--order", "1", "--deg", "-1"],
-], ids=["negative-r-max", "no-admissible-prime", "z-zero", "empty-table", "ignored-z",
-        "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
+], ids=["negative-r-max", "no-admissible-prime", "z-zero", "constants-z-zero", "empty-table",
+        "ignored-z", "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
 def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
     terms = tmp_path / "terms.json"  # a valid term file, so only the bound is wrong
     terms.write_text(json.dumps([str(t) for t in apery_terms(30)]))
@@ -260,6 +275,8 @@ def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if "--z" in argv and argv[argv.index("--z") + 1] == "0":
+        assert captured.err == "error: delannoy_poly needs a nonzero integer z\n"
 
 
 def test_console_entry_point():

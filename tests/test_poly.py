@@ -13,7 +13,6 @@ from partible.poly import (
     NEG_INF,
     Polynomial,
     PolynomialSyntaxError,
-    falling_factorial_value,
     parity_support,
     parse_polynomial,
     poly_to_text,
@@ -201,13 +200,6 @@ def test_parity_support():
     assert parity_support([1, 1]) == "mixed"
     assert parity_support([2, 0, 1]) == "even"
     assert parity_support([]) == "zero"
-
-
-def test_falling_factorial():
-    assert falling_factorial_value(4, 2) == 12
-    assert falling_factorial_value(Fraction(999), 0) == 1
-    assert falling_factorial_value(1, 3) == 0
-    assert falling_factorial_value(Fraction(1, 2), 2) == Fraction(-1, 4)
 
 
 def test_divmod_and_gcd():
