@@ -112,7 +112,7 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     stray = set(red.u_coeffs) - {survivor}
     if stray:
         raise AssertionError(f"unexpected surviving powers {sorted(stray)}")
-    return red.u_coeffs.get(survivor, Fraction(0))
+    return red.u_coeffs.get(survivor, 0)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Dense univariate polynomials in k over an exact coefficient field.
 
-Coefficients are Fraction (field Q) or RationalFunction (field Q(z)) and
-may mix within one polynomial; all arithmetic stays exact and runs on the
-coefficient-tuple kernel of the ratfunc module.  The same
+Coefficients over Q are int, or Fraction where a value is not integral;
+over Q(z) they are RationalFunction, and the kinds may mix within one
+polynomial.  An integral Fraction is stored as its int numerator, so the
+common integer case runs on int arithmetic.  All arithmetic stays exact
+and runs on the coefficient-tuple kernel of the ratfunc module.  The same
 class also serves for polynomials in other formal variables (the
 indicator variable s, the symmetry-center unknown), since the variable
 name only matters when printing.
@@ -23,10 +25,12 @@ NEG_INF = float("-inf")
 
 
 def _coerce(c):
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, (Fraction, RationalFunction)):
+    """The stored form of a coefficient: an integral rational becomes a plain int."""
+    if type(c) is int or isinstance(c, RationalFunction):
         return c
+    if isinstance(c, (int, Fraction)):  # a Fraction, or an int subclass such as bool
+        c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
@@ -86,7 +90,7 @@ class Polynomial:
     def coefficient(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -126,9 +130,14 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Over Q, with p = N/D for N with int coefficients, p^n = N^n / D^n: one division."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        return Polynomial(_pow(self.coeffs, n))
+        if any(isinstance(c, RationalFunction) for c in self.coeffs):
+            return Polynomial(_pow(self.coeffs, n))
+        nums, den = clear_denominators(self.coeffs)
+        power = Polynomial(_pow(nums, n))
+        return power if den == 1 else power * Fraction(1, den ** n)
 
     def __divmod__(self, other):
         other = _operand(other)
@@ -160,9 +169,9 @@ class Polynomial:
         """
         cs = list(self.coeffs)
         n = len(cs)
-        over_q = isinstance(b, (int, Fraction)) and all(isinstance(c, Fraction) for c in cs)
+        over_q = isinstance(b, (int, Fraction)) and not any(isinstance(c, RationalFunction) for c in cs)
         if over_q:
-            u, v = Fraction(b).as_integer_ratio()
+            u, v = b.as_integer_ratio()
             cs, den = clear_denominators(cs)
             cs = [c * v ** (n - 1 - i) for i, c in enumerate(cs)]
         else:
@@ -171,7 +180,7 @@ class Polynomial:
             for i in range(n - 1):
                 for j in range(n - 2, i - 1, -1):
                     cs[j] = cs[j] + u * cs[j + 1]
-        if over_q:
+        if over_q and (den, v) != (1, 1):
             cs = [Fraction(c, den * v ** (n - 1 - i)) for i, c in enumerate(cs)]
         if a != 1:
             power = a
@@ -298,7 +307,7 @@ class _Parser:
                     self.error("division by a non-constant polynomial", at)
                 if divisor.is_zero:
                     self.error("division by zero", at)
-                value = value * (1 / divisor.coefficient(0))
+                value = value * (Fraction(1) / divisor.coefficient(0))
             else:
                 return value
 
@@ -351,7 +360,7 @@ class _Parser:
             self.depth -= 1
             return value
         if ch.isdigit():
-            return Polynomial.constant(Fraction(self.integer()))
+            return Polynomial.constant(self.integer())
         if ch == "k":
             self.pos += 1
             return Polynomial.variable()

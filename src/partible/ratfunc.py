@@ -7,7 +7,10 @@ over Q and over Q(z).
 
 The coefficient-tuple routines below (index = degree, no trailing zeros)
 are the package's one dense-polynomial kernel, shared by RationalFunction
-and poly.Polynomial; their entries may be Fraction or RationalFunction.
+and poly.Polynomial; their entries may be int, Fraction or
+RationalFunction, and the additive and multiplicative routines keep the
+entries' type, so integral coefficients run on int arithmetic with no
+gcds.  A RationalFunction's num and den stay tuples of Fraction.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _mul(a, b):
     """Schoolbook product; zero coefficients of the left factor are skipped."""
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)  # a zero of the operands' type
     for i, ca in enumerate(a):
         if ca:
             for j, cb in enumerate(b):
@@ -58,15 +61,17 @@ def _scale(a, c):
 
 
 def _pow(a, n: int):
-    """a^n for an integer n >= 0, by binary powering."""
-    out = _ONE
-    while n:
+    """a^n for an integer n >= 0, by binary powering from a, which keeps its entries' type."""
+    if not n:
+        return _ONE
+    out = None
+    while True:
         if n & 1:
-            out = _mul(out, a)
+            out = a if out is None else _mul(out, a)
         n >>= 1
-        if n:
-            a = _mul(a, a)
-    return out
+        if not n:
+            return out
+        a = _mul(a, a)
 
 
 def _divmod(a, b):
@@ -147,7 +152,7 @@ def format_coeffs(coeffs, var: str = "z") -> str:
             continue
         if isinstance(c, RationalFunction) and c.is_constant():
             c = c.as_fraction()
-        if isinstance(c, Fraction):
+        if isinstance(c, (int, Fraction)):
             sign, body = ("-", str(-c)) if c < 0 else ("+", str(c))
         else:
             # "(num)/(den)" is unambiguous inside a product; "2*z + 1" is not

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
-from .poly import Polynomial
-from .ratfunc import RationalFunction, cancel_common, clear_denominators
+from .poly import Polynomial, _coerce
+from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators
 
 
 class NotPartible(ValueError):
@@ -67,8 +67,8 @@ def _ring_vector(values, over_qz: bool) -> tuple[list, object]:
 
 
 def _quotient(a, b):
-    """a / b in the field of the ring elements a and b."""
-    return Fraction(a, b) if isinstance(b, int) else a / b
+    """a / b in the field of a and b, never a float: an int when it is integral over Q."""
+    return _coerce(Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else a / b)
 
 
 def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[dict, dict, list]:
@@ -126,13 +126,14 @@ def _adjoint_images(L: ShiftOperator, center, offset):
 
     That is sum_i a_i(center + t - i) (t + offset - i)^j.  Each of its J+1
     products is multiplied by its linear factor once per step, so image j
-    costs O(J (deg L + j)) operations and no Taylor shift.
+    costs O(J (deg L + j)) operations and no Taylor shift.  The products
+    stay kernel tuples; only the yielded sum is built as a Polynomial.
     """
-    terms = [a.shift(center - i) for i, a in enumerate(L.coeffs)]
-    factors = [Polynomial((offset - i, 1)) for i in range(len(terms))]
+    terms = [a.shift(center - i).coeffs for i, a in enumerate(L.coeffs)]
+    factors = [Polynomial((offset - i, 1)).coeffs for i in range(len(terms))]
     while True:
-        yield sum(terms, Polynomial())
-        terms = [term * f for term, f in zip(terms, factors)]
+        yield Polynomial(functools.reduce(_add, terms))
+        terms = [_mul(term, f) for term, f in zip(terms, factors)]
 
 
 # -- symmetry center ---------------------------------------------------------
@@ -157,7 +158,7 @@ def gamma_candidates(L: ShiftOperator) -> list:
     the conventional center 0.
     """
     d, J = operator_profile(L).d, L.order
-    gamma = Fraction(0)
+    gamma = 0
     for i in range(J // 2 + 1):
         lo, hi = L.coeffs[i], L.coeffs[J - i]
         D = max(lo.degree, hi.degree)
@@ -166,8 +167,8 @@ def gamma_candidates(L: ShiftOperator) -> list:
             if not ell:
                 return []
             sign = -1 if (d + D) % 2 else 1
-            gamma = ((D * J * ell - lo.coefficient(D - 1) - sign * hi.coefficient(D - 1))
-                     / (2 * D * ell))
+            gamma = _quotient(D * J * ell - lo.coefficient(D - 1) - sign * hi.coefficient(D - 1),
+                              2 * D * ell)
             break
     return [gamma] if _mirrored(L, gamma, d) else []
 
@@ -224,8 +225,8 @@ def center_scale(gamma) -> int:
 def default_alpha(gamma):
     """Basis scaling rule: alpha_s = 2^(s+1) for half-integral centers, else 1."""
     if center_scale(gamma) == 2:
-        return lambda s: Fraction(2) ** (s + 1)
-    return lambda s: Fraction(1)
+        return lambda s: 2 ** (s + 1)
+    return lambda s: 1
 
 
 def basis_element(cert: PartibleCertificate, s: int, alpha_s) -> Polynomial:
@@ -313,18 +314,19 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     # w^m in powers of (k - gamma)
     rem, den = _ring_vector([0] * m + [beta ** m], basis.over_qz)
     steps, _, remainder = _back_substitute(rem, den, d, basis.ring_image)
-    u_coeffs = {i: c / Fraction(beta) ** i for i, c in enumerate(remainder) if c}
+    u_coeffs = {i: _quotient(c, beta ** i) for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
     if leaks:
         raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
     alphas = {j: alpha(j) for j in steps}
-    v_coeffs = {j: step / alphas[j] for j, step in steps.items()}
+    v_coeffs = {j: _quotient(step, alphas[j]) for j, step in steps.items()}
 
     # the identity times the common denominator D of its coefficients, in Z or Q[z]:
     # D w^m = sum_i U_i (k - gamma)^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
     low = max(d, 0)
     nums, D = _ring_vector([u_coeffs.get(i, 0) * beta ** i for i in range(low)]
-                           + [v * alphas[j] / basis.ring_image(j)[1] for j, v in v_coeffs.items()],
+                           + [_quotient(v * alphas[j], basis.ring_image(j)[1])
+                              for j, v in v_coeffs.items()],
                            basis.over_qz)
     total = nums[:low] + [0] * (max(m + 1, low) - low)
     for j, V in zip(v_coeffs, nums[low:]):
@@ -344,4 +346,4 @@ def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, al
     if alpha_s is None:
         alpha_s = default_alpha(cert.gamma)(s)
     image = adjoint_basis(L, cert).image(s)
-    return [alpha_s * c / Fraction(2) ** i for i, c in enumerate(image.coeffs)]
+    return [_quotient(alpha_s * c, 2 ** i) for i, c in enumerate(image.coeffs)]

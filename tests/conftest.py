@@ -6,8 +6,47 @@ in a subprocess; prepending `src` to PYTHONPATH makes those run this
 tree's code too, with or without an install.
 """
 
+import contextlib
 import os
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
+
+import pytest
+
+from partible import operators, poly, reduction
+from partible.ratfunc import RationalFunction
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
+
+
+@pytest.fixture(scope="session")
+def all_fractions():
+    """A context manager under which Polynomial stores every coefficient over Q
+    as a Fraction, integral ones included, as it did before int coefficients.
+
+    The operator caches are cleared on entry and exit, so neither side is
+    served results computed on the other.
+    """
+
+    def fraction_coerce(c):
+        if isinstance(c, int):
+            return Fraction(c)
+        if isinstance(c, (Fraction, RationalFunction)):
+            return c
+        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+
+    @contextlib.contextmanager
+    def manager():
+        caches = (operators.profile, reduction.is_partible, reduction.adjoint_basis)
+        for cache in caches:
+            cache.cache_clear()
+        try:
+            with mock.patch.object(poly, "_coerce", fraction_coerce):
+                yield
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+
+    return manager

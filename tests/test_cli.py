@@ -353,6 +353,16 @@ def test_symbolic_delannoy_reduce_of_k40_is_quick(tmp_path):
     assert json.loads(proc.stdout)["remainder"] != "0"
 
 
+def test_apery_reduce_of_k1000_is_quick(apery_file):
+    # the monomial images and the loop run on int coefficients; on Fraction
+    # coefficients this took about 19 s
+    proc = _run_cli(["reduce", "--operator", apery_file, "--poly", "k^1000"], timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["exceptional"] == {}
+    assert 0 <= parse_polynomial(data["remainder"]).degree < 3
+
+
 @pytest.mark.parametrize("command", [["constants"], ["verify", "--p-max", "7"]],
                          ids=["constants", "verify"])
 def test_r_max_is_bounded_by_the_exponent_limit(command, capsys):

@@ -295,3 +295,85 @@ def test_rational_function_normalization():
     with pytest.raises(ZeroDivisionError):
         RationalFunction((1,), ())
     assert Fraction(1, 2) + Z == (2 * Z + 1) / 2
+
+
+# -- int coefficients against the all-Fraction kernel ---------------------------
+
+
+@st.composite
+def _expressions(draw, over_qz, depth=4):
+    """Parser text: sums, products, negations, powers and divisions by constants."""
+    small = st.integers(-9, 9)
+    kind = draw(st.sampled_from(["atom", "+", "-", "*", "/", "^", "neg"])) if depth else "atom"
+    if kind == "atom":
+        return draw(st.one_of(st.integers(0, 40).map(str), st.sampled_from(["k", "z"][:1 + over_qz]),
+                              st.tuples(small, small).map(lambda t: f"({t[0]}*k + {t[1]})")))
+    inner = draw(_expressions(over_qz, depth - 1))
+    if kind == "/":
+        divisor = draw(st.integers(-3, 3).map(lambda b: f"(z + {b})") if over_qz and draw(st.booleans())
+                       else st.integers(1, 12).map(str))
+        return f"{inner}/{divisor}"
+    if kind == "^":
+        return f"({inner})^{draw(st.integers(0, 5))}"
+    if kind == "neg":
+        return f"-{inner}"
+    return f"({inner} {kind} {draw(_expressions(over_qz, depth - 1))})"
+
+
+_PARSER_CASES = st.sampled_from(["Q", "Q(z)"]).flatmap(
+    lambda field: st.tuples(_expressions(field == "Q(z)"), st.just(field)))
+
+
+def _parsed(text, field):
+    """The polynomial and its text, or the parser's error message."""
+    try:
+        p = parse_polynomial(text, field)
+    except (PolynomialSyntaxError, ZeroDivisionError) as exc:
+        return repr(exc)
+    return p, str(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_PARSER_CASES)
+def test_parse_matches_the_all_fraction_kernel(case, all_fractions):
+    want = _parsed(*case)
+    with all_fractions():
+        assert not any(type(c) is int for c in parse_polynomial("3*k + 2").coeffs)
+        got = _parsed(*case)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_PARSER_CASES)
+def test_parsed_coefficients_are_int_fraction_or_rational_function(case):
+    result = _parsed(*case)
+    for c in result[0].coeffs if isinstance(result, tuple) else ():
+        assert type(c) in (int, RationalFunction) or type(c) is Fraction and c.denominator != 1, c
+
+
+def test_float_coefficients_are_rejected():
+    for value in (1.5, 2.0):
+        with pytest.raises(TypeError, match="unsupported coefficient type float"):
+            Polynomial([value])
+    with pytest.raises(TypeError):
+        K + 0.5
+
+
+def test_parser_division_gives_a_fraction():
+    # the divisor is inverted over Fraction: 1 / 2 with two ints would be 0.5
+    (c,) = parse_polynomial("1/2").coeffs
+    assert type(c) is Fraction and c == Fraction(1, 2)
+    assert parse_polynomial("k/4 + 6/3").coeffs == (2, Fraction(1, 4))
+    assert type(parse_polynomial("6/3").coeffs[0]) is int
+    (c,) = parse_polynomial("1/(z + 1)", "Q(z)").coeffs
+    assert c == 1 / (Z + 1)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    p = Polynomial([Fraction(4, 2), True, 3, Fraction(1, 3)])
+    assert [type(c) for c in p.coeffs] == [int, int, int, Fraction]
+    assert p.coeffs == (2, 1, 3, Fraction(1, 3))
+    # equal, and equal in hash, to the all-Fraction tuple stored before
+    assert hash(p) == hash((Fraction(2), Fraction(1), Fraction(3), Fraction(1, 3)))
+    assert type(K.coefficient(5)) is int and K.coefficient(5) == 0
+    assert [type(c) for c in (Polynomial([Fraction(1, 2)]) * 2 * K).coeffs] == [int, int]

@@ -1,5 +1,6 @@
 """Reduction modulo S_L, symmetry centers, parity-preserving reduction."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -185,7 +186,8 @@ def _oracle_gamma_candidates(L):
             break
         g = poly_gcd(g, e)
     if g.degree == 1:
-        return [-g.coefficient(0) / g.coefficient(1)]
+        # over Fraction: g's coefficients may be ints, and int / int is a float
+        return [-g.coefficient(0) * (Fraction(1) / g.coefficient(1))]
     return rational_roots(g) if g.degree > 0 else []
 
 
@@ -433,7 +435,8 @@ def _fraction_back_substitute(coeffs, d, image, skip=frozenset()):
 
 def _oracle_reduce(Q, L):
     prof = profile(L)
-    coeffs = list(Q.coeffs)
+    # Fraction, as the coefficients were before int ones: the loop divides with /
+    coeffs = [Fraction(c) if isinstance(c, int) else c for c in Q.coeffs]
     images = reduction._lazy_list(reduction._adjoint_images(L, 0, 0))
     steps, moved = _fraction_back_substitute(coeffs, prof.d, images, skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(coeffs) - prof.d)])
@@ -487,3 +490,84 @@ def test_cleared_identity_audit_is_live(monkeypatch):
     for L in (apery_operator(), delannoy_operator()):
         with pytest.raises(AssertionError, match="reduction identity failed exactness audit"):
             partible_reduce(7, L, is_partible(L))
+
+
+# -- int coefficients against the all-Fraction kernel ---------------------------
+
+
+def _partible_query(L, Q, m):
+    cert = is_partible(L)
+    return None if cert is None else partible_reduce(m, L, cert)
+
+
+_QUERIES = {
+    "profile": lambda L, Q, m: profile(L),
+    "gamma_candidates": lambda L, Q, m: gamma_candidates(L),
+    "reduce": lambda L, Q, m: reduce(Q, L),
+    "partible_reduce": _partible_query,
+}
+
+
+@st.composite
+def _queries(draw):
+    """(L, Q, m): an operator over Q or Q(z), a polynomial over its field, a power."""
+    L = draw(st.one_of(_operators(zden=True), _degenerate_operators()))
+    n = draw(st.sampled_from([0, 1, 4, 9]))
+    Q = Polynomial(draw(st.lists(_coefficient(L.field == "Q(z)", zden=True),
+                                 min_size=n, max_size=n)))
+    return L, Q, draw(st.integers(0, 9))
+
+
+def _coefficients(value):
+    """Every number held by a result: in its polynomials, dicts, sequences and fields."""
+    if isinstance(value, Polynomial):
+        yield from value.coeffs
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _coefficients(getattr(value, f.name))
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _coefficients(v)
+    elif isinstance(value, (list, tuple, frozenset)):
+        for v in value:
+            yield from _coefficients(v)
+    elif value is not None:
+        yield value
+
+
+def _exact_kind(c) -> bool:
+    """int, non-integral Fraction or RationalFunction: never a float or an integral Fraction."""
+    return (type(c) in (int, RationalFunction)
+            or type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_queries())
+def test_int_coefficients_match_the_all_fraction_kernel(query, case, all_fractions):
+    L, Q, m = case
+    want = _QUERIES[query](L, Q, m)
+    with all_fractions():
+        Lf = ShiftOperator([Polynomial(a.coeffs) for a in L.coeffs])
+        Qf = Polynomial(Q.coeffs)
+        assert not any(type(c) is int for p in (*Lf.coeffs, Qf) for c in p.coeffs)
+        got = _QUERIES[query](Lf, Qf, m)
+    assert got == want
+
+
+@pytest.mark.parametrize("query", sorted(_QUERIES))
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=_queries())
+def test_results_hold_no_float_and_no_integral_fraction(query, case):
+    L, Q, m = case
+    values = list(_coefficients(_QUERIES[query](L, Q, m)))
+    assert all(_exact_kind(c) for c in values), [c for c in values if not _exact_kind(c)]
+
+
+def test_half_integral_center_is_a_fraction():
+    # the center's numerator is divided by 2 D l over Fraction, never with int / int
+    for L in (apery_operator(), apery_signed_operator(), delannoy_operator(5)):
+        (gamma,) = gamma_candidates(L)
+        assert type(gamma) is Fraction and gamma == HALF
+        assert type(is_partible(L).gamma) is Fraction
+    assert gamma_candidates(ShiftOperator([(K - 3) ** 2, 0, (K + 1) ** 2])) == [2]
