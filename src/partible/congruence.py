@@ -171,7 +171,7 @@ def _add_coprime(support: set, n: int):
 def _denominator_content(c) -> int:
     """lcm of the denominators hiding in a constant (numeric part only)."""
     if isinstance(c, RationalFunction):
-        parts = [q.denominator for q in c.numerator] or [1]
+        parts = [q.denominator for q in c.num] or [1]
         return math.lcm(*parts)
     return Fraction(c).denominator
 
@@ -185,7 +185,7 @@ def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
         table.entries[r] = c
         for q in _prime_factors(_denominator_content(c)):
             _add_coprime(table.denominator_support, q)
-        if isinstance(c, RationalFunction) and len(c.denominator) > 1:
+        if isinstance(c, RationalFunction) and len(c.den) > 1:
             table.z_in_denominator = True
     return table
 
@@ -199,7 +199,7 @@ def delannoy_ring_check(c) -> bool:
     """
     if not isinstance(c, RationalFunction):
         n = Fraction(c).denominator
-    elif any(c.denominator[:-1]):
+    elif any(c.den[:-1]):
         return False
     else:
         n = _denominator_content(c)
@@ -266,10 +266,8 @@ def verify(
     power = _power(r, parity)
 
     modulus = p ** rule.e
-    terms = _terms if _terms is not None else builtin(family, z).terms(p)
-    lhs = 0
-    for k in range(p):
-        lhs = (lhs + pow(2 * k + 1, power, modulus) * (terms[k] % modulus)) % modulus
+    terms = _terms if _terms is not None else [t % modulus for t in builtin(family, z).terms(p)]
+    lhs = sum(pow(2 * k + 1, power, modulus) * t for k, t in enumerate(terms)) % modulus
 
     if rule.parities[parity] is None:
         c = 0

@@ -13,6 +13,7 @@ name only matters when printing.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 from .ratfunc import (
@@ -133,6 +134,7 @@ class Polynomial:
         """Over Q, with p = N/D for N with int coefficients, p^n = N^n / D^n: one division."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
+        # Q(z) kept apart: cleared, (z/(z+1))^200 took 0.31 s not 0.19 s (gcd-bound, ROADMAP 3)
         if any(isinstance(c, RationalFunction) for c in self.coeffs):
             return Polynomial(_pow(self.coeffs, n))
         nums, den = clear_denominators(self.coeffs)
@@ -148,9 +150,6 @@ class Polynomial:
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -169,6 +168,7 @@ class Polynomial:
         """
         cs = list(self.coeffs)
         n = len(cs)
+        # Q(z) kept apart: cleared too, `constants` on delannoy_poly r <= 6 ran about 10% slower
         over_q = isinstance(b, (int, Fraction)) and not any(isinstance(c, RationalFunction) for c in cs)
         if over_q:
             u, v = b.as_integer_ratio()
@@ -253,55 +253,52 @@ def _z_degree_and_bits(p: Polynomial) -> tuple[int, int]:
     return max(map(len, parts), default=1) - 1, bits + len(numbers).bit_length()
 
 
+#: one token: a run of decimal digits or any other single character, after any whitespace
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+
+
 class _Parser:
+    """Recursive descent over the tokens of one text; columns[i] is where tokens[i] starts."""
+
     def __init__(self, text: str, field: str):
         if field not in ("Q", "Q(z)"):
             raise ValueError(f"unknown field {field!r}")
-        self.text = text
+        self.tokens, self.columns = [], []
+        for match in _TOKEN.finditer(text):
+            self.tokens.append(match[1])
+            self.columns.append(match.start(1))
+        self.tokens.append("")  # end of input
+        self.columns.append(len(text))
         self.field = field
-        self.pos = 0
+        self.i = 0
         self.depth = 0
 
     def error(self, message, at=None):
-        raise PolynomialSyntaxError(message, (self.pos if at is None else at) + 1)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        raise PolynomialSyntaxError(message, (self.columns[self.i] if at is None else at) + 1)
 
     def parse(self) -> Polynomial:
         value = self.expr()
-        if self.peek():
-            self.error(f"unexpected {self.text[self.pos]!r}")
+        if self.tokens[self.i]:
+            self.error(f"unexpected {self.tokens[self.i][0]!r}")
         return value
 
     def expr(self) -> Polynomial:
         value = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
-            else:
-                return value
+        while (sign := self.tokens[self.i]) in ("+", "-"):
+            self.i += 1
+            value = value + self.term() if sign == "+" else value - self.term()
+        return value
 
     def term(self) -> Polynomial:
         value = self.factor()
         while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
+            token = self.tokens[self.i]
+            if token == "*":
+                self.i += 1
                 value = value * self.factor()
-            elif ch == "/":
-                self.pos += 1
-                at = self.pos
+            elif token == "/":
+                self.i += 1
+                at = self.columns[self.i - 1] + 1  # just after the '/'
                 divisor = self.factor()
                 if divisor.degree > 0:
                     self.error("division by a non-constant polynomial", at)
@@ -313,65 +310,54 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         negate = False
-        while self.peek() in ("-", "+"):
-            negate ^= self.text[self.pos] == "-"
-            self.pos += 1
+        while self.tokens[self.i] in ("-", "+"):
+            negate ^= self.tokens[self.i] == "-"
+            self.i += 1
         return -self.power() if negate else self.power()
 
     def power(self) -> Polynomial:
         base = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            if self.peek() == "":
-                self.error("missing exponent")
-            at = self.pos
-            n = self.integer()
-            zdeg, bits = _z_degree_and_bits(base)
-            kdeg, zdeg, bits = n * max(base.degree, 0), n * zdeg, n * bits
-            if n > MAX_EXPONENT or max(kdeg, zdeg) > MAX_EXPONENT:
-                self.error(f"exponent or power degree above {MAX_EXPONENT}", at)
-            if bits > MAX_EXPONENT ** 2:
-                self.error(f"power with numbers above {MAX_EXPONENT ** 2} bits", at)
-            if (kdeg + 1) * (zdeg + 1) * bits > MAX_POWER_BITS:
-                self.error(f"power above {MAX_POWER_BITS} bits in all", at)
-            return base ** n
-        return base
-
-    def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            self.error("expected an integer")
-        return int(self.text[start : self.pos])
+        if self.tokens[self.i] != "^":
+            return base
+        self.i += 1
+        token, at = self.tokens[self.i], self.columns[self.i]
+        if not token.isdecimal():
+            self.error("expected an integer" if token else "missing exponent")
+        self.i += 1
+        n = int(token)
+        zdeg, bits = _z_degree_and_bits(base)
+        kdeg, zdeg, bits = n * max(base.degree, 0), n * zdeg, n * bits
+        if n > MAX_EXPONENT or max(kdeg, zdeg) > MAX_EXPONENT:
+            self.error(f"exponent or power degree above {MAX_EXPONENT}", at)
+        if bits > MAX_EXPONENT ** 2:
+            self.error(f"power with numbers above {MAX_EXPONENT ** 2} bits", at)
+        if (kdeg + 1) * (zdeg + 1) * bits > MAX_POWER_BITS:
+            self.error(f"power above {MAX_POWER_BITS} bits in all", at)
+        return base ** n
 
     def atom(self) -> Polynomial:
-        ch = self.peek()
-        if ch == "(":
+        token = self.tokens[self.i]
+        if token == "(":
             if self.depth == MAX_NESTING:
                 self.error(f"parentheses nested deeper than {MAX_NESTING}")
-            self.pos += 1
+            self.i += 1
             self.depth += 1
             value = self.expr()
-            if self.peek() != ")":
+            if self.tokens[self.i] != ")":
                 self.error("expected ')'")
-            self.pos += 1
             self.depth -= 1
-            return value
-        if ch.isdigit():
-            return Polynomial.constant(self.integer())
-        if ch == "k":
-            self.pos += 1
-            return Polynomial.variable()
-        if ch == "z":
-            if self.field != "Q(z)":
+        elif token.isdecimal():
+            value = Polynomial.constant(int(token))
+        elif token == "k":
+            value = Polynomial.variable()
+        elif token == "z":
+            if self.field == "Q":
                 self.error("variable 'z' is not available over Q")
-            self.pos += 1
-            return Polynomial.constant(Z)
-        if ch == "":
-            self.error("unexpected end of input")
-        self.error(f"unexpected {ch!r}")
+            value = Polynomial.constant(Z)
+        else:
+            self.error(f"unexpected {token!r}" if token else "unexpected end of input")
+        self.i += 1
+        return value
 
 
 def parse_polynomial(text: str, field: str = "Q") -> Polynomial:

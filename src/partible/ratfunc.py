@@ -34,10 +34,11 @@ def _as_fractions(coeffs) -> tuple:
 
 
 def _add(a, b):
-    n = max(len(a), len(b))
-    return _trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)
-    )
+    if len(a) < len(b):
+        a, b = b, a
+    out = [x + y for x, y in zip(a, b)]
+    out += a[len(b):]
+    return _trim(out)
 
 
 def _neg(a):
@@ -193,10 +194,6 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
-    @classmethod
-    def constant(cls, value) -> "RationalFunction":
-        return cls((Fraction(value),))
-
     @staticmethod
     def _coerce(value):
         if isinstance(value, RationalFunction):
@@ -272,10 +269,8 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or n < 0:
             return NotImplemented
-        if n < 0:
-            return (RationalFunction.constant(1) / self) ** (-n)
         # powers of coprime num and monic den stay coprime and monic
         return RationalFunction._canonical(_pow(self.num, n), _pow(self.den, n))
 
@@ -307,14 +302,6 @@ class RationalFunction:
         """Exact value at z = z0; raises ZeroDivisionError at a pole."""
         z0 = Fraction(z0)
         return _horner(self.num, z0) / _horner(self.den, z0)
-
-    @property
-    def numerator(self) -> tuple:
-        return self.num
-
-    @property
-    def denominator(self) -> tuple:
-        return self.den
 
     def __str__(self):
         if self.den == (Fraction(1),):

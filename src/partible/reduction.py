@@ -200,12 +200,6 @@ def is_partible(L: ShiftOperator) -> PartibleCertificate | None:
     return PartibleCertificate(gamma, prof.d, L.order)
 
 
-def _certificate_holds(L: ShiftOperator, cert: PartibleCertificate) -> bool:
-    prof = operator_profile(L)
-    return (L.order == cert.order and not prof.roots and prof.d == cert.d
-            and _mirrored(L, cert.gamma, cert.d))
-
-
 # -- parity-preserving reduction ----------------------------------------------
 
 
@@ -235,43 +229,33 @@ def basis_element(cert: PartibleCertificate, s: int, alpha_s) -> Polynomial:
     return alpha_s * lin ** s
 
 
-class AdjointBasis:
-    """The images L*((k - gamma + J/2)^j) of one certified operator, centred at gamma.
-
-    The certificate is checked once.  Images are built lazily by
-    _adjoint_images; each is audited once, when first used, against
-    adjoint_apply on the basis element: an independent path in k.
-    """
-
-    def __init__(self, L: ShiftOperator, cert: PartibleCertificate):
-        if not _certificate_holds(L, cert):
-            raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
-        self.L, self.cert = L, cert
-        self._image = _lazy_list(_adjoint_images(L, cert.gamma, Fraction(cert.order, 2)))
-        self._audited: set = set()
-        self._ring: dict = {}
-        self.over_qz = L.field == "Q(z)"
-
-    def image(self, j: int) -> Polynomial:
-        """L*(x_j) for alpha_j = 1, as a polynomial in t = k - gamma."""
-        image = self._image(j)
-        if j not in self._audited:
-            if image.shift(-self.cert.gamma) != adjoint_apply(self.L, basis_element(self.cert, j, 1)):
-                raise AssertionError(f"adjoint image {j} failed exactness audit")
-            self._audited.add(j)
-        return image
-
-    def ring_image(self, j: int) -> tuple[list, object]:
-        """The _ring_vector (I, E) of image(j) = I/E, converted once."""
-        if j not in self._ring:
-            self._ring[j] = _ring_vector(self.image(j).coeffs, self.over_qz)
-        return self._ring[j]
-
-
 @functools.lru_cache(maxsize=8)
-def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate) -> AdjointBasis:
-    """The shared AdjointBasis of (L, cert); raises NotPartible for a false certificate."""
-    return AdjointBasis(L, cert)
+def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
+    """The function j -> (I, E) with I/E = L*((k - gamma + J/2)^j) in powers of t = k - gamma.
+
+    The certificate is checked once; a false one raises NotPartible.
+    Image j is built by _adjoint_images.  When first used it is audited
+    against adjoint_apply on the basis element, an independent path in
+    k, and only then kept, as its _ring_vector (I, E).
+    """
+    prof = operator_profile(L)
+    if (L.order != cert.order or prof.roots or prof.d != cert.d
+            or not _mirrored(L, cert.gamma, cert.d)):
+        raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
+    images = _adjoint_images(L, cert.gamma, Fraction(cert.order, 2))
+    drawn: dict = {}  # j -> the raw Polynomial until audited, then its ring vector
+
+    def ring_image(j: int) -> tuple[list, object]:
+        while len(drawn) <= j:
+            drawn[len(drawn)] = next(images)
+        image = drawn[j]
+        if isinstance(image, Polynomial):
+            if image.shift(-cert.gamma) != adjoint_apply(L, basis_element(cert, j, 1)):
+                raise AssertionError(f"adjoint image {j} failed exactness audit")
+            drawn[j] = _ring_vector(image.coeffs, L.field == "Q(z)")
+        return drawn[j]
+
+    return ring_image
 
 
 @dataclass
@@ -305,15 +289,16 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    basis = adjoint_basis(L, cert)
+    image = adjoint_basis(L, cert)
+    over_qz = L.field == "Q(z)"
     d = cert.d
     if alpha is None:
         alpha = default_alpha(cert.gamma)
     beta = center_scale(cert.gamma)
 
     # w^m in powers of (k - gamma)
-    rem, den = _ring_vector([0] * m + [beta ** m], basis.over_qz)
-    steps, _, remainder = _back_substitute(rem, den, d, basis.ring_image)
+    rem, den = _ring_vector([0] * m + [beta ** m], over_qz)
+    steps, _, remainder = _back_substitute(rem, den, d, image)
     u_coeffs = {i: _quotient(c, beta ** i) for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
     if leaks:
@@ -325,12 +310,11 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     # D w^m = sum_i U_i (k - gamma)^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
     low = max(d, 0)
     nums, D = _ring_vector([u_coeffs.get(i, 0) * beta ** i for i in range(low)]
-                           + [_quotient(v * alphas[j], basis.ring_image(j)[1])
-                              for j, v in v_coeffs.items()],
-                           basis.over_qz)
+                           + [_quotient(v * alphas[j], image(j)[1]) for j, v in v_coeffs.items()],
+                           over_qz)
     total = nums[:low] + [0] * (max(m + 1, low) - low)
     for j, V in zip(v_coeffs, nums[low:]):
-        for i, t in enumerate(basis.ring_image(j)[0]):
+        for i, t in enumerate(image(j)[0]):
             total[i] += V * t
     if total != [0] * m + [D * beta ** m] + [0] * (len(total) - m - 1):
         raise AssertionError("reduction identity failed exactness audit")
@@ -345,5 +329,5 @@ def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, al
     """
     if alpha_s is None:
         alpha_s = default_alpha(cert.gamma)(s)
-    image = adjoint_basis(L, cert).image(s)
-    return [_quotient(alpha_s * c, 2 ** i) for i, c in enumerate(image.coeffs)]
+    I, E = adjoint_basis(L, cert)(s)
+    return [_quotient(alpha_s * c, E * 2 ** i) for i, c in enumerate(I)]

@@ -31,8 +31,9 @@ def _expressions(variables):
     )
 
 
-# raw text over the parser's alphabet, and well-formed expressions built from it
-_TEXT = st.text(alphabet="kz0123456789+-*/^() ", max_size=24) | _expressions(["k", "z"])
+# raw text over the parser's alphabet, with a non-ASCII digit and space, and well-formed
+# expressions built from it
+_TEXT = st.text(alphabet="kz0123456789+-*/^() ²\xa0", max_size=24) | _expressions(["k", "z"])
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,

@@ -235,6 +235,11 @@ def test_parse_errors_carry_column():
         parse_polynomial("k/ (k+1)")
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1/0")
+    # a number is a run of decimal digits: a superscript digit is an unexpected character
+    for text, column in (("k^²", 3), ("3²*k", 2), ("²", 1)):
+        with pytest.raises(PolynomialSyntaxError) as info:
+            parse_polynomial(text)
+        assert info.value.column == column
 
 
 def test_exponent_limit():
@@ -266,11 +271,9 @@ def test_rational_function_powers_match_repeated_products():
     for _ in range(30):
         a = RationalFunction([rng.randint(-5, 5) for _ in range(rng.randint(1, 4))],
                              [rng.randint(-5, 5) for _ in range(rng.randint(0, 2))] + [1])
-        product = RationalFunction.constant(1)
+        product = RationalFunction((1,))
         for n in range(5):
             assert (a ** n).num == product.num and (a ** n).den == product.den
-            if a:
-                assert a ** -n * product == 1
             product = product * a
 
 
@@ -288,10 +291,10 @@ def test_text_roundtrip():
 def test_rational_function_normalization():
     # gcd removed, denominator monic
     a = RationalFunction((0, 2), (0, 0, 4))  # 2z / 4z^2 = (1/2)/z
-    assert a.numerator == (Fraction(1, 2),)
-    assert a.denominator == (0, 1)
+    assert a.num == (Fraction(1, 2),)
+    assert a.den == (0, 1)
     assert a * Z == Fraction(1, 2)
-    assert (Z - Z).numerator == ()
+    assert (Z - Z).num == ()
     with pytest.raises(ZeroDivisionError):
         RationalFunction((1,), ())
     assert Fraction(1, 2) + Z == (2 * Z + 1) / 2

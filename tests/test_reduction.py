@@ -394,6 +394,9 @@ def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
     assert partible_reduce(3, L, is_partible(L)).v_coeffs == {0: Fraction(-1, 8)}
     with pytest.raises(AssertionError, match="exactness audit"):
         partible_reduce(5, L, is_partible(L))
+    # the failed image is not kept as audited: the next draw audits it, and fails, again
+    with pytest.raises(AssertionError, match="exactness audit"):
+        partible_reduce(5, L, is_partible(L))
 
 
 def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases):
@@ -446,7 +449,8 @@ def _oracle_reduce(Q, L):
 def _oracle_partible_reduce(m, L, cert):
     beta, alpha = center_scale(cert.gamma), default_alpha(cert.gamma)
     coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
-    steps, _ = _fraction_back_substitute(coeffs, cert.d, reduction.adjoint_basis(L, cert).image)
+    images = reduction._lazy_list(reduction._adjoint_images(L, cert.gamma, Fraction(cert.order, 2)))
+    steps, _ = _fraction_back_substitute(coeffs, cert.d, images)
     return ({i: c / Fraction(beta) ** i for i, c in enumerate(coeffs) if c},
             {j: step / alpha(j) for j, step in steps.items()},
             {j: alpha(j) for j in steps})
