@@ -82,12 +82,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self):
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def coefficient(self, i: int):
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
@@ -323,8 +317,8 @@ class _Parser:
         token, at = self.tokens[self.i], self.columns[self.i]
         if not token.isdecimal():
             self.error("expected an integer" if token else "missing exponent")
+        n = self.number()
         self.i += 1
-        n = int(token)
         zdeg, bits = _z_degree_and_bits(base)
         kdeg, zdeg, bits = n * max(base.degree, 0), n * zdeg, n * bits
         if n > MAX_EXPONENT or max(kdeg, zdeg) > MAX_EXPONENT:
@@ -347,7 +341,7 @@ class _Parser:
                 self.error("expected ')'")
             self.depth -= 1
         elif token.isdecimal():
-            value = Polynomial.constant(int(token))
+            value = Polynomial.constant(self.number())
         elif token == "k":
             value = Polynomial.variable()
         elif token == "z":
@@ -358,6 +352,13 @@ class _Parser:
             self.error(f"unexpected {token!r}" if token else "unexpected end of input")
         self.i += 1
         return value
+
+    def number(self) -> int:
+        """int(tokens[i]); a run past CPython's digit limit for int/str conversion is an error here."""
+        try:
+            return int(self.tokens[self.i])
+        except ValueError as exc:
+            self.error(str(exc))
 
 
 def parse_polynomial(text: str, field: str = "Q") -> Polynomial:

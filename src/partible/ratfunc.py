@@ -136,9 +136,10 @@ def cancel_common(a, b) -> tuple:
 
     g is normalised so that a/g is positive over Z and monic over Q[z].
     """
-    if isinstance(a, int):
+    if isinstance(a, int) and isinstance(b, int):
         g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
         return a // g, b // g
+    a, b = RationalFunction._coerce(a), RationalFunction._coerce(b)
     g = _scale(_gcd(a.num, b.num), a.num[-1])
     return (RationalFunction._canonical(_exquo(a.num, g)),
             RationalFunction._canonical(_exquo(b.num, g)))

@@ -15,6 +15,7 @@ parity-preserving reduction.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,17 +54,10 @@ def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     d <= 0 the remainder is zero.
     """
     prof = operator_profile(L)
-    over_qz = L.field == "Q(z)" or any(isinstance(c, RationalFunction) for c in Q.coeffs)
-    images = (_ring_vector(image.coeffs, over_qz) for image in _adjoint_images(L, 0, 0))
     steps, exceptional, remainder = _back_substitute(
-        *_ring_vector(Q.coeffs, over_qz), prof.d, _lazy_list(images), skip=prof.roots)
+        *clear_denominators(Q.coeffs), prof.d, _lazy_list(_adjoint_images(L, 0, 0)), skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(Q.coeffs) - prof.d)])
     return ReductionResult(x, exceptional, Polynomial(remainder))
-
-
-def _ring_vector(values, over_qz: bool) -> tuple[list, object]:
-    """values over their common denominator, in Z or, when over_qz, in Q[z]."""
-    return clear_denominators([RationalFunction._coerce(v) for v in values] if over_qz else values)
 
 
 def _quotient(a, b):
@@ -74,10 +68,11 @@ def _quotient(a, b):
 def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[dict, dict, list]:
     """Cancel the terms of degree >= d of rem/den from the top down, fraction-free.
 
-    rem and den are a _ring_vector.  The term of degree d+j is moved out
-    whole when j is in skip, and is otherwise cancelled with image(j) =
-    (I, E), the ring vector of a polynomial of degree exactly d+j: for c
-    the top entry of rem and g = gcd(c, I[d+j]),
+    rem and den are a clear_denominators pair, in Z or in Q[z].  The term
+    of degree d+j is moved out whole when j is in skip, and is otherwise
+    cancelled with image(j) = (I, E), a polynomial I/E of degree exactly
+    d+j with I in the same ring: for c the top entry of rem and
+    g = gcd(c, I[d+j]),
 
         rem <- (I[d+j]/g) rem - (c/g) I,    den <- (I[d+j]/g) den,
 
@@ -121,19 +116,28 @@ def _lazy_list(items):
     return item
 
 
-def _adjoint_images(L: ShiftOperator, center, offset):
-    """Yield L*((k - center + offset)^j) at k = center + t for j = 0, 1, 2, ...
+def _cleared(polys) -> tuple[list, object]:
+    """The coefficient tuples polys over their one common denominator, and that denominator."""
+    nums, den = clear_denominators([c for p in polys for c in p])
+    it = iter(nums)
+    return [tuple(itertools.islice(it, len(p))) for p in polys], den
 
-    That is sum_i a_i(center + t - i) (t + offset - i)^j.  Each of its J+1
-    products is multiplied by its linear factor once per step, so image j
-    costs O(J (deg L + j)) operations and no Taylor shift.  The products
-    stay kernel tuples; only the yielded sum is built as a Polynomial.
+
+def _adjoint_images(L: ShiftOperator, center, offset, scale=1):
+    """Yield (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center), j = 0, 1, ...
+
+    That is sum_i a_i(center - i + w/scale) (w/scale + offset - i)^j.  The
+    J+1 polynomials, and the J+1 linear factors, are each brought to one
+    common denominator once, E_0 and e, so E = E_0 e^j.  Each product is
+    multiplied by its factor once per step: O(J (deg L + j)) ring operations.
     """
-    terms = [a.shift(center - i).coeffs for i, a in enumerate(L.coeffs)]
-    factors = [Polynomial((offset - i, 1)).coeffs for i in range(len(terms))]
+    terms, E = _cleared([a.subst_linear(Fraction(1, scale), center - i).coeffs
+                         for i, a in enumerate(L.coeffs)])
+    factors, e = _cleared([(offset - i, Fraction(1, scale)) for i in range(len(terms))])
     while True:
-        yield Polynomial(functools.reduce(_add, terms))
+        yield functools.reduce(_add, terms), E
         terms = [_mul(term, f) for term, f in zip(terms, factors)]
+        E = E * e
 
 
 # -- symmetry center ---------------------------------------------------------
@@ -223,39 +227,34 @@ def default_alpha(gamma):
     return lambda s: 1
 
 
-def basis_element(cert: PartibleCertificate, s: int, alpha_s) -> Polynomial:
-    """x_s(k) = alpha_s (k - gamma + J/2)^s."""
-    lin = Polynomial((Fraction(cert.order, 2) - cert.gamma, 1))
-    return alpha_s * lin ** s
-
-
 @functools.lru_cache(maxsize=8)
 def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
-    """The function j -> (I, E) with I/E = L*((k - gamma + J/2)^j) in powers of t = k - gamma.
+    """The function j -> (I, E), I/E = L*((k - gamma + J/2)^j) in powers of w = beta (k - gamma).
 
-    The certificate is checked once; a false one raises NotPartible.
-    Image j is built by _adjoint_images.  When first used it is audited
-    against adjoint_apply on the basis element, an independent path in
-    k, and only then kept, as its _ring_vector (I, E).
+    beta = center_scale(gamma).  The certificate is checked once; a false
+    one raises NotPartible.  Image j is marked audited once it passes
+    I(beta (k - gamma)) beta^j = E L*((beta (k - gamma + J/2))^j), with
+    adjoint_apply an independent path in k; for Apery both sides are the
+    integer polynomials I(2k+1) 2^j and E L*((2k+3)^j).
     """
     prof = operator_profile(L)
     if (L.order != cert.order or prof.roots or prof.d != cert.d
             or not _mirrored(L, cert.gamma, cert.d)):
         raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
-    images = _adjoint_images(L, cert.gamma, Fraction(cert.order, 2))
-    drawn: dict = {}  # j -> the raw Polynomial until audited, then its ring vector
+    beta, half = center_scale(cert.gamma), Fraction(cert.order, 2)
+    images = _lazy_list(_adjoint_images(L, cert.gamma, half, beta))
+    lin = Polynomial((beta * (half - cert.gamma), beta))  # beta (k - gamma + J/2)
+    audited = set()
 
-    def ring_image(j: int) -> tuple[list, object]:
-        while len(drawn) <= j:
-            drawn[len(drawn)] = next(images)
-        image = drawn[j]
-        if isinstance(image, Polynomial):
-            if image.shift(-cert.gamma) != adjoint_apply(L, basis_element(cert, j, 1)):
-                raise AssertionError(f"adjoint image {j} failed exactness audit")
-            drawn[j] = _ring_vector(image.coeffs, L.field == "Q(z)")
-        return drawn[j]
+    def image(j: int) -> tuple[tuple, object]:
+        I, E = images(j)
+        if j not in audited and (Polynomial(I).subst_linear(beta, -beta * cert.gamma) * beta ** j
+                                 != E * adjoint_apply(L, lin ** j)):
+            raise AssertionError(f"adjoint image {j} failed exactness audit")
+        audited.add(j)
+        return I, E
 
-    return ring_image
+    return image
 
 
 @dataclass
@@ -289,17 +288,10 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    image = adjoint_basis(L, cert)
-    over_qz = L.field == "Q(z)"
-    d = cert.d
-    if alpha is None:
-        alpha = default_alpha(cert.gamma)
-    beta = center_scale(cert.gamma)
-
-    # w^m in powers of (k - gamma)
-    rem, den = _ring_vector([0] * m + [beta ** m], over_qz)
-    steps, _, remainder = _back_substitute(rem, den, d, image)
-    u_coeffs = {i: _quotient(c, beta ** i) for i, c in enumerate(remainder) if c}
+    image, d = adjoint_basis(L, cert), cert.d
+    alpha = alpha or default_alpha(cert.gamma)
+    steps, _, remainder = _back_substitute([0] * m + [1], 1, d, image)
+    u_coeffs = {i: c for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
     if leaks:
         raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
@@ -307,18 +299,17 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     v_coeffs = {j: _quotient(step, alphas[j]) for j, step in steps.items()}
 
     # the identity times the common denominator D of its coefficients, in Z or Q[z]:
-    # D w^m = sum_i U_i (k - gamma)^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
+    # D w^m = sum_i U_i w^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
     low = max(d, 0)
-    nums, D = _ring_vector([u_coeffs.get(i, 0) * beta ** i for i in range(low)]
-                           + [_quotient(v * alphas[j], image(j)[1]) for j, v in v_coeffs.items()],
-                           over_qz)
+    nums, D = clear_denominators([u_coeffs.get(i, 0) for i in range(low)]
+                                 + [_quotient(v * alphas[j], image(j)[1]) for j, v in v_coeffs.items()])
     total = nums[:low] + [0] * (max(m + 1, low) - low)
     for j, V in zip(v_coeffs, nums[low:]):
         for i, t in enumerate(image(j)[0]):
             total[i] += V * t
-    if total != [0] * m + [D * beta ** m] + [0] * (len(total) - m - 1):
+    if total != [0] * m + [D] + [0] * (len(total) - m - 1):
         raise AssertionError("reduction identity failed exactness audit")
-    return PartibleReduction(m, cert.gamma, beta, u_coeffs, v_coeffs, alphas)
+    return PartibleReduction(m, cert.gamma, center_scale(cert.gamma), u_coeffs, v_coeffs, alphas)
 
 
 def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, alpha_s=None) -> list:
@@ -330,4 +321,4 @@ def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, al
     if alpha_s is None:
         alpha_s = default_alpha(cert.gamma)(s)
     I, E = adjoint_basis(L, cert)(s)
-    return [_quotient(alpha_s * c, E * 2 ** i) for i, c in enumerate(I)]
+    return [_quotient(alpha_s * c, E * (2 // center_scale(cert.gamma)) ** i) for i, c in enumerate(I)]

@@ -8,6 +8,7 @@ tree's code too, with or without an install.
 
 import contextlib
 import os
+import sys
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -50,3 +51,18 @@ def all_fractions():
                 cache.cache_clear()
 
     return manager
+
+
+@pytest.fixture
+def int_digit_limit():
+    """CPython's default cap of 4,300 digits on int/str conversion, restored afterwards.
+
+    cli.main lifts the cap for the whole process, so a test that needs it
+    sets it here; a Python without the cap skips the test.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no cap on int/str conversion")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)

@@ -84,6 +84,14 @@ def test_reduce_command_parses_with_the_declared_field(tmp_path, capsys):
     assert result.reassemble(operator_from_dict(data)) == parse_polynomial("z*k^3", "Q(z)")
 
 
+def test_reduce_prints_numbers_past_the_int_digit_limit(apery_file, capsys, int_digit_limit):
+    # 10^4995 passes every parser bound; printing it needs more than 4,300 digits
+    assert main(["reduce", "--operator", apery_file, "--poly=(10^999)^5"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    result = ReductionResult(parse_polynomial(out["x"]), {}, parse_polynomial(out["remainder"]))
+    assert result.reassemble(apery_operator()) == parse_polynomial("(10^999)^5")
+
+
 def test_gamma_command(apery_file, capsys):
     assert main(["gamma", "--operator", apery_file]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -219,6 +227,13 @@ def test_guess_term_items_are_checked(tmp_path, capsys, items, index):
     assert main(["guess", "--terms", str(terms), "--order", "0", "--deg", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith(f"error: term {index}")
+
+
+def test_guess_reads_terms_past_the_int_digit_limit(tmp_path, capsys, int_digit_limit):
+    terms = tmp_path / "terms.json"
+    terms.write_text(json.dumps([str(2 ** n) + "0" * 4999 for n in range(6)]))  # 2^n 10^4999
+    assert main(["guess", "--terms", str(terms), "--order", "1", "--deg", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["coeffs"] == ["-2", "1"]
 
 
 def test_guess_accepts_integers_and_integer_strings(tmp_path, capsys):

@@ -242,6 +242,13 @@ def test_parse_errors_carry_column():
         assert info.value.column == column
 
 
+def test_numbers_past_the_int_digit_limit_are_syntax_errors(int_digit_limit):
+    for text, column in (("1" * 4301, 1), ("k^" + "1" * 4301, 3)):
+        with pytest.raises(PolynomialSyntaxError, match="4300") as info:
+            parse_polynomial(text)
+        assert info.value.column == column
+
+
 def test_exponent_limit():
     assert parse_polynomial("k^1000") == K ** 1000
     assert parse_polynomial("(k^2)^500").degree == 1000

@@ -98,9 +98,9 @@ def test_reduce_over_symbolic_coefficients():
 def test_reduce_rejects_an_image_of_the_wrong_degree(monkeypatch):
     kernel = reduction._adjoint_images
 
-    def one_short_image(L, center, offset):
-        for j, image in enumerate(kernel(L, center, offset)):
-            yield Polynomial(image.coeffs[:-1]) if j == 2 else image
+    def one_short_image(L, center, offset, scale=1):
+        for j, (I, E) in enumerate(kernel(L, center, offset, scale)):
+            yield (I[:-1], E) if j == 2 else (I, E)
 
     monkeypatch.setattr(reduction, "_adjoint_images", one_short_image)
     L = apery_operator()
@@ -302,6 +302,21 @@ def test_expand_adjoint_basis_builtins():
     assert coeffs[2] == -4 * Z and coeffs[0] == 4 and not coeffs[1]
 
 
+def test_expand_adjoint_basis_at_integer_centers_of_odd_order():
+    # center 0 and odd J: beta = 1, and x_s = alpha_s (k + J/2)^s has a half-integral factor
+    a, b = K ** 2 + 3 * K + 5, 2 * K ** 3 - K
+    for coeffs in ([a, a.subst_linear(-1, -1)],
+                   [a, b, -1 * b.subst_linear(-1, -3), -1 * a.subst_linear(-1, -3)]):
+        L = ShiftOperator(coeffs)
+        cert = is_partible(L)
+        assert cert.gamma == 0 and cert.order % 2 and center_scale(cert.gamma) == 1
+        for s in range(8):
+            image = adjoint_apply(L, 3 * (K + Fraction(cert.order, 2)) ** s)
+            # in powers of 2(k - gamma) = 2k: image(k) = sum_i c_i (2k)^i
+            expected = list(image.subst_linear(Fraction(1, 2), 0).coeffs)
+            assert expand_adjoint_basis(L, cert, s, 3) == expected
+
+
 def test_parity_of_remainders_up_to_15():
     for L in (apery_operator(), apery_signed_operator(),
               delannoy_operator(), delannoy_operator(1)):
@@ -335,9 +350,7 @@ def test_basis_image_symmetry():
         cert = is_partible(L)
         alpha = default_alpha(cert.gamma)
         for s in range(11):
-            from partible.reduction import basis_element
-
-            p = adjoint_apply(L, basis_element(cert, s, alpha(s)))
+            p = adjoint_apply(L, alpha(s) * (K - cert.gamma + Fraction(cert.order, 2)) ** s)
             left = p.shift(cert.gamma)
             right = p.subst_linear(-1, cert.gamma)
             sign = -1 if (cert.d + s) % 2 else 1
@@ -385,9 +398,9 @@ def fresh_bases():
 def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
     kernel = reduction._adjoint_images
 
-    def one_wrong_image(L, center, offset):
-        for j, image in enumerate(kernel(L, center, offset)):
-            yield image + K ** 2 if j == 2 else image
+    def one_wrong_image(L, center, offset, scale=1):
+        for j, (I, E) in enumerate(kernel(L, center, offset, scale)):
+            yield (I[:2] + (I[2] + E,) + I[3:], E) if j == 2 else (I, E)  # image + w^2
 
     monkeypatch.setattr(reduction, "_adjoint_images", one_wrong_image)
     L = apery_operator()
@@ -440,8 +453,8 @@ def _oracle_reduce(Q, L):
     prof = profile(L)
     # Fraction, as the coefficients were before int ones: the loop divides with /
     coeffs = [Fraction(c) if isinstance(c, int) else c for c in Q.coeffs]
-    images = reduction._lazy_list(reduction._adjoint_images(L, 0, 0))
-    steps, moved = _fraction_back_substitute(coeffs, prof.d, images, skip=prof.roots)
+    steps, moved = _fraction_back_substitute(coeffs, prof.d, lambda j: adjoint_apply(L, K ** j),
+                                              skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(coeffs) - prof.d)])
     return x, moved, Polynomial(coeffs)
 
@@ -449,8 +462,10 @@ def _oracle_reduce(Q, L):
 def _oracle_partible_reduce(m, L, cert):
     beta, alpha = center_scale(cert.gamma), default_alpha(cert.gamma)
     coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
-    images = reduction._lazy_list(reduction._adjoint_images(L, cert.gamma, Fraction(cert.order, 2)))
-    steps, _ = _fraction_back_substitute(coeffs, cert.d, images)
+    lin = K - cert.gamma + Fraction(cert.order, 2)
+    # image j: L*(lin^j) at k = gamma + t, in powers of t
+    steps, _ = _fraction_back_substitute(coeffs, cert.d,
+                                         lambda j: adjoint_apply(L, lin ** j).shift(cert.gamma))
     return ({i: c / Fraction(beta) ** i for i, c in enumerate(coeffs) if c},
             {j: step / alpha(j) for j, step in steps.items()},
             {j: alpha(j) for j in steps})
@@ -468,7 +483,8 @@ def _degenerate_operators(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.one_of(_operators(zden=True), _degenerate_operators()), st.data())
 def test_fraction_free_loop_matches_the_fraction_loop(L, data):
-    over_qz = L.field == "Q(z)"
+    # Q over either field, whatever L's: a step then mixes Z and Q[z] entries
+    over_qz = data.draw(st.booleans())
     n = data.draw(st.sampled_from([0, 1, 4, 9]))  # zero, constant and longer Q
     Q = Polynomial(data.draw(st.lists(_coefficient(over_qz, zden=True), min_size=n, max_size=n)))
     res = reduce(Q, L)

@@ -155,7 +155,7 @@ def test_guess_output_always_annihilates():
         assert all(Fraction(c).denominator == 1 for c in flat)
         from math import gcd
         assert gcd(*(int(c) for c in flat)) == 1
-        assert L.coeffs[-1].leading > 0
+        assert L.coeffs[-1].coeffs[-1] > 0
 
 
 def _oracle_guess(terms, max_order, max_deg):
