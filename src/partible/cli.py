@@ -79,6 +79,10 @@ def _r_max(r_max: int) -> int:
     return r_max
 
 
+#: the largest --p-max of verify: apery_terms(2000) takes seconds, and each doubling costs about 8x
+MAX_P = 5000
+
+
 def cmd_constants(args) -> int:
     table = constant_table(args.family, _r_max(args.r_max), z=args.z)
     support = sorted(table.denominator_support)
@@ -102,6 +106,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.p_max > MAX_P:  # before the sieve allocates p_max + 1 bytes
+        raise ValueError(f"--p-max {args.p_max} is above {MAX_P}")
     reports = sweep(args.family, _r_max(args.r_max), args.p_max, z_values=args.z,
                     power_parity=args.parity)
     for report in reports:
@@ -193,18 +199,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):  # no cap on the digits of int/str conversions
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if cap:  # no cap on the digits of int/str conversions, for this run only
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    try:
-        return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
 
 
 if __name__ == "__main__":

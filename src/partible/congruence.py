@@ -170,9 +170,8 @@ def _add_coprime(support: set, n: int):
 
 def _denominator_content(c) -> int:
     """lcm of the denominators hiding in a constant (numeric part only)."""
-    if isinstance(c, RationalFunction):
-        parts = [q.denominator for q in c.num] or [1]
-        return math.lcm(*parts)
+    if isinstance(c, RationalFunction):  # the lcm of the denominators of num / den[-1]
+        return c.den[-1] // math.gcd(c.den[-1], *c.num)
     return Fraction(c).denominator
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import is_prime
-from .poly import Polynomial, parse_polynomial, poly_gcd, poly_to_text
-from .ratfunc import RationalFunction, _horner, clear_denominators
+from .poly import Polynomial, parse_polynomial, poly_to_text
+from .ratfunc import RationalFunction, _exquo, _gcd, _horner, clear_denominators
 
 
 class InsufficientTerms(ValueError):
@@ -180,10 +180,10 @@ def rational_roots(f: Polynomial) -> list:
     roots = [Fraction(0)] if v else []
     n, lc = len(ints) - 1, ints[-1]
     if n:
-        g = Polynomial([c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])] + [1])
+        g = tuple(c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])) + (1,)
         if n > 1:
-            g = g // poly_gcd(g, g.hasse_derivative(1))
-        roots += (Fraction(y, lc) for y in _monic_integer_roots([int(c) for c in g.coeffs]))
+            g = _exquo(g, _gcd(g, tuple(i * c for i, c in enumerate(g))[1:]))
+        roots += (Fraction(y, lc) for y in _monic_integer_roots(g))
     return sorted(roots)
 
 

@@ -4,7 +4,9 @@ Coefficients over Q are int, or Fraction where a value is not integral;
 over Q(z) they are RationalFunction, and the kinds may mix within one
 polynomial.  An integral Fraction is stored as its int numerator, so the
 common integer case runs on int arithmetic.  All arithmetic stays exact
-and runs on the coefficient-tuple kernel of the ratfunc module.  The same
+and runs on the coefficient-tuple kernel of the ratfunc module.  Powers
+and Taylor shifts take one path over both fields: they clear the
+denominators, work in Z or Z[z], and divide back once.  The same
 class also serves for polynomials in other formal variables (the
 indicator variable s, the symmetry-center unknown), since the variable
 name only matters when printing.
@@ -12,13 +14,12 @@ name only matters when printing.
 
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 
 from .ratfunc import (
-    RationalFunction, Z, _add, _divmod, _gcd, _horner, _mul, _neg, _pow, _scale, clear_denominators,
-    format_coeffs,
+    RationalFunction, Z, _add, _horner, _mul, _neg, _pow, _scale, clear_denominators, format_coeffs,
+    quotient,
 )
 
 #: degree of the zero polynomial
@@ -125,25 +126,12 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        """Over Q, with p = N/D for N with int coefficients, p^n = N^n / D^n: one division."""
+        """With p = N/D for N over Z or Z[z], p^n = N^n / D^n: one division."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        # Q(z) kept apart: cleared, (z/(z+1))^200 took 0.31 s not 0.19 s (gcd-bound, ROADMAP 3)
-        if any(isinstance(c, RationalFunction) for c in self.coeffs):
-            return Polynomial(_pow(self.coeffs, n))
         nums, den = clear_denominators(self.coeffs)
         power = Polynomial(_pow(nums, n))
-        return power if den == 1 else power * Fraction(1, den ** n)
-
-    def __divmod__(self, other):
-        other = _operand(other)
-        if other is None:
-            return NotImplemented
-        quo, rem = _divmod(self.coeffs, other)
-        return Polynomial(quo), Polynomial(rem)
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
+        return power if den == 1 else power * (Fraction(1) / den ** n)
 
     # -- evaluation and substitution -----------------------------------------
 
@@ -156,26 +144,20 @@ class Polynomial:
 
         The shift by b runs in place on the coefficient list: n(n-1)/2
         multiply-adds, the additive Taylor shift of von zur Gathen and
-        Gerhard.  Over Q with b = u/v it shifts the integer coefficients
-        of A(t) = D v^(n-1) p(t/v) by u, D clearing the denominators of p,
-        and divides back.  Coefficient i is then scaled by a^i.
+        Gerhard.  With b = u/v it shifts the coefficients of
+        A(t) = D v^(n-1) p(t/v) by u, D clearing the denominators of p, in
+        Z or Z[z], and divides back.  Coefficient i is then scaled by a^i.
         """
-        cs = list(self.coeffs)
-        n = len(cs)
-        # Q(z) kept apart: cleared too, `constants` on delannoy_poly r <= 6 ran about 10% slower
-        over_q = isinstance(b, (int, Fraction)) and not any(isinstance(c, RationalFunction) for c in cs)
-        if over_q:
-            u, v = b.as_integer_ratio()
-            cs, den = clear_denominators(cs)
-            cs = [c * v ** (n - 1 - i) for i, c in enumerate(cs)]
-        else:
-            u = b
+        n = len(self.coeffs)
+        (u,), v = clear_denominators([b])
+        cs, den = clear_denominators(self.coeffs)
+        cs = [c * v ** (n - 1 - i) for i, c in enumerate(cs)]
         if u:
             for i in range(n - 1):
                 for j in range(n - 2, i - 1, -1):
                     cs[j] = cs[j] + u * cs[j + 1]
-        if over_q and (den, v) != (1, 1):
-            cs = [Fraction(c, den * v ** (n - 1 - i)) for i, c in enumerate(cs)]
+        if (den, v) != (1, 1):
+            cs = [quotient(c, den * v ** (n - 1 - i)) for i, c in enumerate(cs)]
         if a != 1:
             power = a
             for i in range(1, n):
@@ -187,23 +169,11 @@ class Polynomial:
         """Exact Taylor shift: the polynomial k |-> p(k + c)."""
         return self.subst_linear(1, c)
 
-    def hasse_derivative(self, t: int) -> "Polynomial":
-        """sum_j C(j, t) a_j k^(j-t) (the t-th divided derivative)."""
-        return Polynomial(
-            math.comb(j, t) * self.coeffs[j]
-            for j in range(t, len(self.coeffs))
-        )
-
     def __repr__(self):
         return f"Polynomial[{poly_to_text(self)}]"
 
     def __str__(self):
         return poly_to_text(self)
-
-
-def poly_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor over the coefficient field."""
-    return Polynomial(_gcd(f.coeffs, g.coeffs))
 
 
 def parity_support(coeffs) -> str:
@@ -377,6 +347,5 @@ __all__ = [
     "PolynomialSyntaxError",
     "parity_support",
     "parse_polynomial",
-    "poly_gcd",
     "poly_to_text",
 ]

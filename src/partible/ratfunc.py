@@ -10,7 +10,8 @@ are the package's one dense-polynomial kernel, shared by RationalFunction
 and poly.Polynomial; their entries may be int, Fraction or
 RationalFunction, and the additive and multiplicative routines keep the
 entries' type, so integral coefficients run on int arithmetic with no
-gcds.  A RationalFunction's num and den stay tuples of Fraction.
+gcds.  RationalFunction holds Q(z) over Z[z], as int tuples whose one gcd
+is a primitive remainder sequence: Fraction is only its input and output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 from fractions import Fraction
 
 
-_ONE = (Fraction(1),)
+_ONE = (1,)
 
 
 def _trim(coeffs) -> tuple:
@@ -27,10 +28,6 @@ def _trim(coeffs) -> tuple:
     while out and not out[-1]:
         out.pop()
     return tuple(out)
-
-
-def _as_fractions(coeffs) -> tuple:
-    return _trim(c if isinstance(c, Fraction) else Fraction(c) for c in coeffs)
 
 
 def _add(a, b):
@@ -75,34 +72,46 @@ def _pow(a, n: int):
         a = _mul(a, a)
 
 
-def _divmod(a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    inv = Fraction(1) / b[-1]
-    quo = [Fraction(0)] * max(len(rem) - db, 0)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] * inv
-        if c:
-            quo[i - db] = c
-            for j, bc in enumerate(b):
-                rem[i - db + j] -= c * bc
-    return _trim(quo), _trim(rem[:db])
+def _primitive(a) -> tuple:
+    """a in Z[z] divided by its content, with a positive leading coefficient; () stays ()."""
+    c = math.gcd(*a) if not a or a[-1] > 0 else -math.gcd(*a)
+    return tuple(x // c for x in a)
 
 
-def _gcd(a, b):
-    """Monic greatest common divisor; () when both are zero."""
-    while b:
-        a, b = b, _divmod(a, b)[1]
-    if a:
-        a = _scale(a, Fraction(1) / a[-1])
-    return a
+def _gcd(a, b) -> tuple:
+    """gcd in Z[z] with a positive leading coefficient; () when both are zero.
+
+    The gcd of the contents times the last nonzero member of the primitive
+    remainder sequence (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1) of the
+    primitive parts.  Each pseudo-division step scales the remainder by
+    lc(b)/g, not lc(b), for g = gcd(lc(b), top).
+    """
+    content = math.gcd(*a, *b)
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        rem = list(a)
+        for i in range(len(a) - len(b), -1, -1):
+            g = math.gcd(rem[-1], b[-1])
+            c, s = rem.pop() // g, b[-1] // g
+            rem = [r * s for r in rem]
+            for j, bc in enumerate(b[:-1], i):
+                rem[j] -= c * bc
+        a, b = b, _primitive(_trim(rem))
+    return _scale(a if not b else _ONE, content)
 
 
-def _exquo(a, g):
-    """a / g for a divisor g of a; g = 1 costs nothing."""
-    return a if g == _ONE else _divmod(a, g)[0]
+def _exquo(a, g) -> tuple:
+    """a / g for a divisor g of a in Z[z], by exact long division; g = 1 costs nothing."""
+    if g == _ONE:
+        return a
+    rem, quo = list(a), [0] * max(len(a) - len(g) + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        quo[i] = rem.pop() // g[-1]
+        for j, gc in enumerate(g[:-1], i):
+            rem[j] -= quo[i] * gc
+    return tuple(quo)
 
 
 def _horner(coeffs, x):
@@ -113,12 +122,17 @@ def _horner(coeffs, x):
     return acc
 
 
+def quotient(a, b):
+    """a / b in the field of a and b: a Fraction for two ints, never a float."""
+    return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else a / b
+
+
 def clear_denominators(values) -> tuple[list, object]:
     """(nums, D) with values[i] = nums[i] / D, D the least common denominator.
 
     Over Q (int and Fraction values) nums and D are ints, D > 0.  When any
-    value is a RationalFunction they are RationalFunctions with
-    denominator 1, D monic, whose sums and products need no gcd.
+    value is a RationalFunction they are RationalFunctions in Z[z] (den 1,
+    D[-1] > 0), whose sums and products need no gcd.
     """
     if not any(isinstance(v, RationalFunction) for v in values):
         den = math.lcm(*(v.denominator for v in values))
@@ -134,13 +148,13 @@ def clear_denominators(values) -> tuple[list, object]:
 def cancel_common(a, b) -> tuple:
     """(a/g, b/g) for g = gcd(a, b), a != 0, in the ring of clear_denominators.
 
-    g is normalised so that a/g is positive over Z and monic over Q[z].
+    g is normalised so that a/g has a positive leading coefficient.
     """
     if isinstance(a, int) and isinstance(b, int):
         g = math.gcd(a, b) if a > 0 else -math.gcd(a, b)
         return a // g, b // g
     a, b = RationalFunction._coerce(a), RationalFunction._coerce(b)
-    g = _scale(_gcd(a.num, b.num), a.num[-1])
+    g = _gcd(a.num, b.num) if a.num[-1] > 0 else _neg(_gcd(a.num, b.num))
     return (RationalFunction._canonical(_exquo(a.num, g)),
             RationalFunction._canonical(_exquo(b.num, g)))
 
@@ -158,7 +172,7 @@ def format_coeffs(coeffs, var: str = "z") -> str:
             sign, body = ("-", str(-c)) if c < 0 else ("+", str(c))
         else:
             # "(num)/(den)" is unambiguous inside a product; "2*z + 1" is not
-            sign, body = "+", (str(c) if c.den != _ONE else f"({c})")
+            sign, body = "+", (str(c) if len(c.den) > 1 else f"({c})")
         if deg:
             vp = var if deg == 1 else f"{var}^{deg}"
             body = vp if body == "1" else f"{body}*{vp}"
@@ -170,19 +184,22 @@ def format_coeffs(coeffs, var: str = "z") -> str:
 
 
 class RationalFunction:
-    """An element of Q(z), kept in lowest terms with monic denominator."""
+    """An element of Q(z) as num/den: trimmed int tuples, coprime in Z[z] (coprime
+    over Q[z], joint content 1), den[-1] > 0; zero is ((), (1,)).  Printed monic."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num=(), den=(Fraction(1),)):
-        num, den = (RationalFunction._canonical(_as_fractions(p)) for p in (num, den))
-        q = num / den
+    def __init__(self, num=(), den=_ONE):
+        num, den = tuple(num), tuple(den)
+        ints, _ = clear_denominators(num + den)  # their common denominator cancels in num/den
+        q = (RationalFunction._canonical(_trim(ints[:len(num)]))
+             / RationalFunction._canonical(_trim(ints[len(num):])))
         object.__setattr__(self, "num", q.num)
         object.__setattr__(self, "den", q.den)
 
     @classmethod
     def _canonical(cls, num: tuple, den: tuple = _ONE) -> "RationalFunction":
-        """num/den, given as trimmed Fraction tuples already in lowest terms, den monic.
+        """num/den, given as trimmed int tuples already in the normal form of the class.
 
         Skips the gcd normalisation: sums and products split by gcds first
         (Henrici), so their results are in lowest terms already.
@@ -200,7 +217,8 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             return value
         if isinstance(value, (int, Fraction)):
-            return RationalFunction._canonical((Fraction(value),) if value else ())
+            num, den = value.as_integer_ratio()
+            return RationalFunction._canonical((num,) if num else (), (den,))
         return None
 
     # -- ring/field operations -------------------------------------------
@@ -260,8 +278,8 @@ class RationalFunction:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
-        inv = Fraction(1) / other.num[-1]
-        return self * RationalFunction._canonical(_scale(other.den, inv), _scale(other.num, inv))
+        num, den = (other.den, other.num) if other.num[-1] > 0 else (_neg(other.den), _neg(other.num))
+        return self * RationalFunction._canonical(num, den)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -272,7 +290,7 @@ class RationalFunction:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        # powers of coprime num and monic den stay coprime and monic
+        # powers of coprime num and den stay coprime, and den's leading coefficient positive
         return RationalFunction._canonical(_pow(self.num, n), _pow(self.den, n))
 
     # -- structure ---------------------------------------------------------
@@ -289,15 +307,20 @@ class RationalFunction:
     def __hash__(self):
         if self.is_constant():
             return hash(self.as_fraction())
-        return hash((self.num, self.den))
+        return hash(self._monic())
+
+    def _monic(self) -> tuple[tuple, tuple]:
+        """num and den as Fraction tuples over the monic denominator: the printed form."""
+        lead = self.den[-1]
+        return tuple(Fraction(c, lead) for c in self.num), tuple(Fraction(c, lead) for c in self.den)
 
     def is_constant(self) -> bool:
-        return len(self.num) <= 1 and self.den == (Fraction(1),)
+        return len(self.num) <= 1 and len(self.den) == 1
 
     def as_fraction(self) -> Fraction:
         if not self.is_constant():
             raise ValueError(f"{self} is not a constant")
-        return self.num[0] if self.num else Fraction(0)
+        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def evaluate(self, z0) -> Fraction:
         """Exact value at z = z0; raises ZeroDivisionError at a pole."""
@@ -305,13 +328,14 @@ class RationalFunction:
         return _horner(self.num, z0) / _horner(self.den, z0)
 
     def __str__(self):
-        if self.den == (Fraction(1),):
-            return format_coeffs(self.num)
-        return f"({format_coeffs(self.num)})/({format_coeffs(self.den)})"
+        num, den = self._monic()
+        if len(den) == 1:
+            return format_coeffs(num)
+        return f"({format_coeffs(num)})/({format_coeffs(den)})"
 
     def __repr__(self):
         return f"RationalFunction[{self}]"
 
 
 #: The generator of Q(z).
-Z = RationalFunction((Fraction(0), Fraction(1)))
+Z = RationalFunction((0, 1))

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial, _coerce
-from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators
+from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators, quotient
 
 
 class NotPartible(ValueError):
@@ -62,7 +62,7 @@ def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
 
 def _quotient(a, b):
     """a / b in the field of a and b, never a float: an int when it is integral over Q."""
-    return _coerce(Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else a / b)
+    return _coerce(quotient(a, b))
 
 
 def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[dict, dict, list]:

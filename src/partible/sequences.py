@@ -59,11 +59,9 @@ def delannoy_poly_terms(n: int, z=1) -> list:
         return [RationalFunction(binomial_products(m)) for m in range(n)]
     out = []
     for m in range(n):
-        total = 0
-        z_power = z ** 0  # 1 in z's own type, so D_0 has the type of D_m
-        for t in binomial_products(m):
-            total += t * z_power
-            z_power *= z
+        total = z * 0  # 0 in z's own type, so D_0 has the type of D_m
+        for t in reversed(list(binomial_products(m))):
+            total = total * z + t
         out.append(total)
     return out
 

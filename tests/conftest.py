@@ -57,8 +57,9 @@ def all_fractions():
 def int_digit_limit():
     """CPython's default cap of 4,300 digits on int/str conversion, restored afterwards.
 
-    cli.main lifts the cap for the whole process, so a test that needs it
-    sets it here; a Python without the cap skips the test.
+    cli.main lifts the cap for its own run and restores it on return; a
+    test that needs the default cap sets it here, whatever ran before.  A
+    Python without the cap skips the test.
     """
     if not hasattr(sys, "set_int_max_str_digits"):
         pytest.skip("this Python has no cap on int/str conversion")

@@ -10,7 +10,7 @@ from partible import congruence
 from partible.cli import main
 from partible.congruence import CongruenceReport
 from partible.operators import operator_from_dict, operator_to_dict, profile
-from partible.poly import parse_polynomial
+from partible.poly import PolynomialSyntaxError, parse_polynomial
 from partible.reduction import ReductionResult
 from partible.sequences import apery_operator, apery_terms, delannoy_operator
 
@@ -88,8 +88,17 @@ def test_reduce_prints_numbers_past_the_int_digit_limit(apery_file, capsys, int_
     # 10^4995 passes every parser bound; printing it needs more than 4,300 digits
     assert main(["reduce", "--operator", apery_file, "--poly=(10^999)^5"]) == 0
     out = json.loads(capsys.readouterr().out)
+    sys.set_int_max_str_digits(0)  # main restored the cap; reading x back needs it lifted
     result = ReductionResult(parse_polynomial(out["x"]), {}, parse_polynomial(out["remainder"]))
     assert result.reassemble(apery_operator()) == parse_polynomial("(10^999)^5")
+
+
+def test_main_restores_the_int_digit_cap(apery_file, capsys, int_digit_limit):
+    assert main(["reduce", "--operator", apery_file, "--poly=(10^999)^5"]) == 0
+    assert sys.get_int_max_str_digits() == 4300
+    with pytest.raises(PolynomialSyntaxError, match="4300") as info:
+        parse_polynomial("1" * 4301)
+    assert info.value.column == 1
 
 
 def test_gamma_command(apery_file, capsys):
@@ -387,3 +396,42 @@ def test_r_max_is_bounded_by_the_exponent_limit(command, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "above 1000" in captured.err
+
+
+class _SieveReached(Exception):
+    pass
+
+
+def test_p_max_is_bounded_before_the_sieve(capsys, monkeypatch):
+    # the sieve allocates p_max + 1 bytes; a refused p_max must not reach it
+    def sieve(lo, hi):
+        raise _SieveReached(hi)
+
+    monkeypatch.setattr(congruence, "primes_in_range", sieve)
+    assert main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--p-max 5001 is above 5000" in captured.err
+    with pytest.raises(_SieveReached):
+        main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5000"])
+
+
+def test_reduce_on_z_denominators_is_quick(tmp_path):
+    # over Q(z) held as Fraction tuples, each gcd ran Euclid over Fractions: about 535 s
+    spec = {"order": 2, "coeffs": ["k^2/(z+1) + 3", "-(2*k+3)*(z-2)/(z^2+1)", "k/(2*z-1) + 1/2"],
+            "field": "Q(z)"}
+    op = tmp_path / "zden.json"
+    op.write_text(json.dumps(spec))
+    proc = _run_cli(["reduce", "--operator", str(op), "--poly", "(3/7*k+5/11)^20"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert data["exceptional"] == {}
+    assert 0 <= parse_polynomial(data["remainder"], "Q(z)").degree < profile(operator_from_dict(spec)).d
+
+
+def test_symbolic_delannoy_constants_to_r28_are_quick():
+    proc = _run_cli(["constants", "--family", "delannoy_poly", "--r-max", "28", "--json"], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    data = json.loads(proc.stdout)
+    assert [e["r"] for e in data["entries"]] == list(range(29))
+    assert data["entries"][2]["c"] == "(16*z^2 + 180*z + 225)/(z^3)"

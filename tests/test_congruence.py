@@ -10,6 +10,7 @@ from partible.congruence import (
     _RULES,
     HypothesisViolation,
     _add_coprime,
+    _denominator_content,
     constant_table,
     delannoy_ring_check,
     derive_constant,
@@ -20,7 +21,7 @@ from partible.congruence import (
     verify,
 )
 from partible.exact import legendre_symbol, primes_in_range
-from partible.ratfunc import Z
+from partible.ratfunc import RationalFunction, Z
 from partible.sequences import FAMILY_NAMES, UnknownFamily, delannoy_poly_terms
 
 
@@ -85,6 +86,15 @@ def test_denominator_support_is_pairwise_coprime():
         assert all(math.gcd(a, b) == 1 for i, a in enumerate(support) for b in support[i + 1:])
     assert tables[-2].denominator_support == {big}
     assert tables[-1].denominator_support == {3, big}
+
+
+def test_denominator_content_reads_the_monic_numerator():
+    # the lcm of the denominators of num / den[-1]: 2/(2z+1) = 1/(z + 1/2) has none,
+    # (z + 3)/(4z^2 + 2) = (1/4 z + 3/4)/(z^2 + 1/2) has 4
+    assert _denominator_content(RationalFunction((2,), (1, 2))) == 1
+    assert _denominator_content(RationalFunction((3, 1), (2, 0, 4))) == 4
+    assert _denominator_content(RationalFunction((), (1,))) == 1
+    assert _denominator_content(Fraction(5, 6)) == 6
 
 
 def test_add_coprime_splits_shared_factors():

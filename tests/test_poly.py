@@ -1,5 +1,6 @@
 """Polynomials over Q and Q(z): arithmetic, shifts, centered expansions, text."""
 
+import functools
 import itertools
 import math
 import random
@@ -17,7 +18,10 @@ from partible.poly import (
     parse_polynomial,
     poly_to_text,
 )
-from partible.ratfunc import RationalFunction, Z, _add, _divmod, _gcd, _mul, _neg, _scale
+from partible.ratfunc import (
+    RationalFunction, Z, _add, _exquo, _gcd, _mul, _neg, _scale, _trim, cancel_common,
+    clear_denominators, format_coeffs,
+)
 
 K = Polynomial.variable()
 
@@ -116,17 +120,61 @@ def test_polynomial_fast_path_matches_normalising_constructor(a, b, c):
     for fast, coeffs in cases:
         full = RationalFunction(coeffs)
         assert (fast.num, fast.den) == (full.num, full.den)
-        assert all(type(x) is Fraction for x in fast.num + fast.den)
+        assert all(type(x) is int for x in fast.num + fast.den)
+        _assert_lowest_terms(fast, coeffs, (1,))
+
+
+# -- the field-Euclid oracle: Q(z) as monic-denominator Fraction tuples ----------
+
+
+def _field_divmod(a, b):
+    """Quotient and remainder of Fraction tuples over Q[z]."""
+    rem = [Fraction(c) for c in a]
+    db = len(b) - 1
+    quo = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i] / b[-1]
+        if c:
+            quo[i - db] = c
+            for j, bc in enumerate(b):
+                rem[i - db + j] -= c * bc
+    return _trim(quo), _trim(rem[:db])
+
+
+def _field_gcd(a, b):
+    """Monic greatest common divisor over Q[z]; () when both are zero."""
+    while b:
+        a, b = b, _field_divmod(a, b)[1]
+    return _scale(a, Fraction(1) / a[-1]) if a else ()
 
 
 def _lowest_terms(num, den):
-    """num/den normalised as the constructor did before sums and products split
-    by gcds: divide by the monic gcd, then make the denominator monic."""
-    if not num:
+    """num/den normalised as the constructor did before Q(z) was held over Z[z]:
+    divide by the monic gcd, then make the denominator monic."""
+    if not _trim(num):
         return (), (Fraction(1),)
-    g = _gcd(num, den)
-    num, den = _divmod(num, g)[0], _divmod(den, g)[0]
+    g = _field_gcd(num, den)
+    num, den = _field_divmod(num, g)[0], _field_divmod(den, g)[0]
     return _scale(num, 1 / den[-1]), _scale(den, 1 / den[-1])
+
+
+def _lowest_terms_text(num, den):
+    """The text RationalFunction printed for the monic pair (num, den)."""
+    if len(den) == 1:
+        return format_coeffs(num)
+    return f"({format_coeffs(num)})/({format_coeffs(den)})"
+
+
+def _assert_lowest_terms(got, num, den):
+    """got equals num/den in the oracle's normal form, by value and by text, and
+    holds the normal form over Z[z]: trimmed int tuples, coprime in Z[z], den[-1] > 0."""
+    want = _lowest_terms(num, den)
+    assert (tuple(Fraction(c, got.den[-1]) for c in got.num),
+            tuple(Fraction(c, got.den[-1]) for c in got.den)) == want
+    assert str(got) == _lowest_terms_text(*want)
+    assert all(type(v) is int for v in got.num + got.den)
+    assert got.den[-1] > 0 and (not got.num or got.num[-1])
+    assert _gcd(got.num, got.den) == (1,) if got.num else got.den == (1,)
 
 
 _Z_POLY = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), max_size=4)
@@ -168,11 +216,8 @@ def test_henrici_arithmetic_matches_the_normalising_constructor(pair):
         cases.append((x / y, _mul(a, d), _mul(b, c)))
     for got, num, den in cases:
         full = RationalFunction(num, den)
-        assert (got.num, got.den) == _lowest_terms(num, den) == (full.num, full.den)
-        # _canonical's invariant: lowest terms, monic denominator, trimmed Fraction tuples
-        assert _gcd(got.num, got.den) == (1,) if got.num else got.den == (1,)
-        assert got.den[-1] == 1 and (not got.num or got.num[-1])
-        assert all(type(v) is Fraction for v in got.num + got.den)
+        assert (got.num, got.den) == (full.num, full.den)
+        _assert_lowest_terms(got, num, den)
 
 
 def test_expand_in_center_examples():
@@ -202,15 +247,56 @@ def test_parity_support():
     assert parity_support([]) == "zero"
 
 
-def test_divmod_and_gcd():
-    from partible.poly import poly_gcd
+_ZPOLY = st.lists(st.integers(-6, 6), max_size=4).map(_trim)
 
-    a = (K + 1) ** 2 * (K - 3)
-    b = (K + 1) * (2 * K + 5)
-    q, r = divmod(a, b)
-    assert q * b + r == a
-    g = poly_gcd(a, b)
-    assert g == K + 1  # monic
+
+@st.composite
+def _zpoly_pairs(draw):
+    """Two polynomials in Z[z] that may share a factor and an integer content, with
+    either sign of leading coefficient; zero and constant operands included."""
+    shared, a, b = draw(_ZPOLY), draw(_ZPOLY), draw(_ZPOLY)
+    if draw(st.booleans()):
+        a, b = _mul(a, shared), _mul(b, shared)
+    return (_scale(a, draw(st.sampled_from([1, -1, 2, -6, 12]))),
+            _scale(b, draw(st.sampled_from([1, -1, 3, -4, 6]))))
+
+
+def _content(a):
+    return math.gcd(*a)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_zpoly_pairs())
+def test_integer_gcd_and_exact_division_match_field_euclid(pair):
+    a, b = pair
+    if b:
+        assert _exquo(_mul(a, b), b) == a
+    g = _gcd(a, b)
+    assert g == _gcd(b, a)
+    if not (a or b):
+        assert g == ()
+        return
+    # g is the field gcd, with the gcd of the contents and a positive leading coefficient
+    assert g[-1] > 0 and _content(g) == math.gcd(_content(a), _content(b))
+    assert _scale(g, Fraction(1, g[-1])) == _field_gcd(a, b)
+    qa, qb = _exquo(a, g), _exquo(b, g)
+    assert _mul(qa, g) == a and _mul(qb, g) == b
+    if a and b:
+        assert _gcd(qa, qb) == (1,)
+        # cancel_common: the same quotients, signed so that the first leads positively
+        x, y = cancel_common(RationalFunction(a), RationalFunction(b))
+        sign = 1 if a[-1] > 0 else -1
+        assert (x.num, y.num) == (_scale(qa, sign), _scale(qb, sign)) and x.den == y.den == (1,)
+    # clear_denominators: values = nums / D, D the least common multiple in Z[z] of the
+    # denominators, with a positive leading coefficient
+    dens = [d for d in (a, b) if d]
+    values = [RationalFunction(_add(d, (1,)), d) for d in dens] + [Fraction(3, 4), 5]
+    nums, D = clear_denominators(values)
+    assert [n * (1 / D) for n in nums] == values
+    assert all(n.den == (1,) for n in nums) and D.den == (1,) and D.num[-1] > 0
+    quotients = [_exquo(D.num, v.den) for v in map(RationalFunction._coerce, values)]
+    assert all(_mul(q, v.den) == D.num for q, v in zip(quotients, map(RationalFunction._coerce, values)))
+    assert functools.reduce(_gcd, quotients) == (1,)
 
 
 def test_parse_basic_forms():
@@ -297,9 +383,12 @@ def test_text_roundtrip():
 
 def test_rational_function_normalization():
     # gcd removed, denominator monic
-    a = RationalFunction((0, 2), (0, 0, 4))  # 2z / 4z^2 = (1/2)/z
-    assert a.num == (Fraction(1, 2),)
-    assert a.den == (0, 1)
+    a = RationalFunction((0, 2), (0, 0, 4))  # 2z / 4z^2 = 1/(2z), printed (1/2)/z
+    assert (a.num, a.den) == ((1,), (0, 2))
+    assert _lowest_terms(a.num, a.den) == ((Fraction(1, 2),), (0, 1))
+    assert str(a) == "(1/2)/(z)" == _lowest_terms_text(*_lowest_terms(a.num, a.den))
+    assert RationalFunction((Fraction(1, 2), 1), (-3,)).num == (-1, -2)  # (1/2 + z)/(-3)
+    assert RationalFunction((Fraction(1, 2), 1), (-3,)).den == (6,)
     assert a * Z == Fraction(1, 2)
     assert (Z - Z).num == ()
     with pytest.raises(ZeroDivisionError):

@@ -1,6 +1,7 @@
 """Reduction modulo S_L, symmetry centers, parity-preserving reduction."""
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from partible import reduction
 from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile, rational_roots
-from partible.poly import Polynomial, parity_support, poly_gcd
+from partible.poly import Polynomial, parity_support
 from partible.ratfunc import RationalFunction, Z
 from partible.reduction import (
     NotPartible,
@@ -163,6 +164,24 @@ def test_is_partible():
     assert certd.d == 1 and certd.gamma == HALF
 
 
+def _hasse_derivative(p, t):
+    """sum_j C(j, t) a_j k^(j-t), the t-th divided derivative."""
+    return Polynomial(math.comb(j, t) * p.coeffs[j] for j in range(t, len(p.coeffs)))
+
+
+def _poly_gcd(f, g):
+    """Monic greatest common divisor over the coefficient field, by Euclid."""
+    a, b = f.coeffs, g.coeffs
+    while b:
+        rem, inv = list(a), Fraction(1) / b[-1]
+        for i in range(len(rem) - 1, len(b) - 2, -1):
+            c = rem[i] * inv
+            for j, bc in enumerate(b, i - len(b) + 1):
+                rem[j] -= c * bc
+        a, b = b, Polynomial(rem[:len(b) - 1]).coeffs
+    return Polynomial(a) * (Fraction(1) / a[-1])
+
+
 def _oracle_gamma_candidates(L):
     """The center search by constraint system: every coefficient of k^t of the
     condition, per pair (a_i, a_{J-i}), is a polynomial in gamma; the centers
@@ -175,7 +194,7 @@ def _oracle_gamma_candidates(L):
         degrees = [int(p.degree) for p in (lo, hi) if not p.is_zero]
         for t in range(max(degrees, default=-1) + 1):
             tsign = -sign if t % 2 else sign
-            e = lo.hasse_derivative(t) - tsign * hi.hasse_derivative(t).shift(-J)
+            e = _hasse_derivative(lo, t) - tsign * _hasse_derivative(hi, t).shift(-J)
             if not e.is_zero:
                 constraints.append(e)
     if not constraints:
@@ -184,7 +203,7 @@ def _oracle_gamma_candidates(L):
     for e in constraints[1:]:
         if g.degree == 0:
             break
-        g = poly_gcd(g, e)
+        g = _poly_gcd(g, e)
     if g.degree == 1:
         # over Fraction: g's coefficients may be ints, and int / int is a float
         return [-g.coefficient(0) * (Fraction(1) / g.coefficient(1))]
