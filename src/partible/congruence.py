@@ -13,12 +13,14 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 from typing import Callable
 
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .ratfunc import RationalFunction
 from .reduction import NotPartible, is_partible, partible_reduce
-from .sequences import UnknownFamily, binomial_products, builtin
+from .sequences import UnknownFamily, binomial_rows, builtin
 
 __all__ = [
     "CongruenceReport",
@@ -266,7 +268,7 @@ def verify(
 
     modulus = p ** rule.e
     terms = _terms if _terms is not None else [t % modulus for t in builtin(family, z).terms(p)]
-    lhs = sum(pow(2 * k + 1, power, modulus) * t for k, t in enumerate(terms)) % modulus
+    lhs = sum(map(mul, map(pow, range(1, 2 * p, 2), repeat(power), repeat(modulus)), terms)) % modulus
 
     if rule.parities[parity] is None:
         c = 0
@@ -330,7 +332,7 @@ def sweep(
         terms = builtin(family, z).terms(max(primes))
         for p in primes:
             modulus = p ** rule.e
-            residues = [terms[k] % modulus for k in range(p)]
+            residues = [t % modulus for t in terms[:p]]
             for r in range(r_max + 1):
                 try:
                     report = verify(
@@ -364,8 +366,6 @@ def odd_power_symbolic_zero(p: int, r: int) -> bool:
     if p == 2 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     acc = [0] * p
-    for k in range(p):
-        w = pow(2 * k + 1, 2 * r + 1)
-        for i, t in enumerate(binomial_products(k)):
-            acc[i] += w * t
+    for k, row in enumerate(binomial_rows(p)):
+        acc[: k + 1] = map(add, acc, map(mul, repeat(pow(2 * k + 1, 2 * r + 1)), row))
     return all(c % p == 0 for c in acc)

@@ -2,8 +2,9 @@
 
 Term generators use nothing but the defining binomial sums, so the wired
 annihilators are genuinely tested against them rather than assumed.
-Each sum is built summand by summand from its term ratio in the index of
-summation; the recurrence in the sequence index is never used.
+Each row of summands C(m,j) C(m+j,j) comes from the last by each
+summand's ratio in m, plus the new diagonal C(2m,m): identities of one
+binomial product, not of the sums, whose recurrence is never used.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
@@ -21,27 +23,26 @@ class UnknownFamily(ValueError):
     """No built-in sequence family with that name."""
 
 
-def binomial_products(m: int, squared: bool = False):
-    """Yield C(m,j) C(m+j,j) for j = 0 .. m, or its square when `squared`.
+def binomial_rows(n: int, squared: bool = False):
+    """Yield the rows [C(m,j) C(m+j,j) for j = 0 .. m], squared when `squared`, for m < n.
 
-    Each value t comes from the previous one by the summand ratio a/b,
-    a = (m-j)(m+j+1) and b = (j+1)^2, or by (a/b)^2 for the squares.  The
-    divisions are exact: t*a = t'*b and t^2*a^2 = t'^2*b^2 for the next
-    value t'.  Stepping the square by small factors is cheaper than
-    squaring a big integer per summand.
+    Row m is row m-1 times (m+j)/(m-j) for j < m, plus C(2m,m) = C(2m-2,m-1) 2(2m-1)/m;
+    squares step by the squared factors.  Every division is exact, and `map` runs each in C.
     """
-    t = 1
-    yield t
-    for j in range(m):
-        a = (m - j) * (m + j + 1)
-        b = (j + 1) * (j + 1)
-        t = t * a * a // b // b if squared else t * a // b
-        yield t
+    e = 2 if squared else 1
+    pw = [i ** e for i in range(2 * n)]  # pw[i] = i^e
+    row = [1]
+    for m in range(n):
+        if m:
+            diagonal = row[-1] * (4 * m - 2) ** e // pw[m]
+            row = list(map(floordiv, map(mul, row, pw[m : 2 * m]), pw[m:0:-1]))
+            row.append(diagonal)
+        yield row
 
 
 def apery_terms(n: int) -> list[int]:
     """A_0 .. A_{n-1} where A_m = sum_j C(m,j)^2 C(m+j,j)^2."""
-    return [sum(binomial_products(m, squared=True)) for m in range(n)]
+    return [sum(row) for row in binomial_rows(n, squared=True)]
 
 
 def apery_signed_terms(n: int) -> list[int]:
@@ -53,14 +54,14 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     """D_0(z) .. D_{n-1}(z) where D_m(z) = sum_i C(m,i) C(m+i,i) z^i.
 
     z may be an int or Fraction for concrete values, or the symbol Z for
-    terms in Q(z), whose coefficient lists are the binomial products.
+    terms in Q(z), whose coefficient lists are the rows of binomial_rows.
     """
     if z == Z:
-        return [RationalFunction(binomial_products(m)) for m in range(n)]
+        return [RationalFunction(row) for row in binomial_rows(n)]
     out = []
-    for m in range(n):
+    for row in binomial_rows(n):
         total = z * 0  # 0 in z's own type, so D_0 has the type of D_m
-        for t in reversed(list(binomial_products(m))):
+        for t in reversed(row):
             total = total * z + t
         out.append(total)
     return out

@@ -303,3 +303,10 @@ def test_odd_power_symbolic_zero():
     for p in (3, 5, 11, 17):
         for r in (0, 1, 3):
             assert odd_power_symbolic_zero(p, r)
+    for p, r in ((3, 0), (7, 2), (13, 1), (29, 4)):  # against the coefficients from math.comb
+        coefficients = [
+            sum((2 * k + 1) ** (2 * r + 1) * math.comb(k, i) * math.comb(k + i, i)
+                for k in range(p))
+            for i in range(p)
+        ]
+        assert odd_power_symbolic_zero(p, r) == all(c % p == 0 for c in coefficients)

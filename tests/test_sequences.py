@@ -19,6 +19,7 @@ from partible.sequences import (
     apery_operator,
     apery_signed_terms,
     apery_terms,
+    binomial_rows,
     builtin,
     delannoy_number_terms,
     delannoy_operator,
@@ -69,6 +70,16 @@ def test_ratio_generators_match_comb_definitions():
         RationalFunction([comb(m, i) * comb(m + i, i) for i in range(m + 1)])
         for m in range(n)
     ]
+
+
+def test_binomial_rows_match_comb():
+    for squared, e in ((False, 1), (True, 2)):
+        for n in (0, 1, 2, 200):
+            rows = list(binomial_rows(n, squared=squared))
+            assert len(rows) == n
+            for m, row in enumerate(rows):
+                assert row == [(math.comb(m, j) * math.comb(m + j, j)) ** e
+                               for j in range(m + 1)]
 
 
 def test_delannoy_parameter_consistency():
