@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_to_text
-from .ratfunc import RationalFunction, _exquo, _gcd, _horner, clear_denominators
+from .ratfunc import RationalFunction, _exquo, _gcd, _horner, _trim, clear_denominators
 
 
 class InsufficientTerms(ValueError):
@@ -34,12 +34,10 @@ class ShiftOperator:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_as_poly(c) for c in coeffs]
-        while cs and cs[-1].is_zero:
-            cs.pop()
+        cs = _trim([_as_poly(c) for c in coeffs])
         if not cs:
             raise ValueError("the zero operator has no order")
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", cs)
 
     def __setattr__(self, name, value):
         raise AttributeError("ShiftOperator is immutable")
@@ -164,7 +162,7 @@ def rational_roots(f: Polynomial) -> list:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    if any(isinstance(c, RationalFunction) and not c.is_constant() for c in f.coeffs):
+    if any(isinstance(c, RationalFunction) for c in f.coeffs):
         for z0 in itertools.count(2):
             try:
                 fz = Polynomial(c.evaluate(z0) if isinstance(c, RationalFunction) else c
@@ -173,8 +171,7 @@ def rational_roots(f: Polynomial) -> list:
                 continue
             if fz:
                 return [r for r in rational_roots(fz) if not f.eval(r)]
-    qs = [c.as_fraction() if isinstance(c, RationalFunction) else c for c in f.coeffs]
-    ints, _ = clear_denominators(qs)
+    ints, _ = clear_denominators(f.coeffs)
     v = next(i for i, c in enumerate(ints) if c)
     ints = ints[v:]
     roots = [Fraction(0)] if v else []

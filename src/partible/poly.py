@@ -1,9 +1,10 @@
 """Dense univariate polynomials in k over an exact coefficient field.
 
-Coefficients over Q are int, or Fraction where a value is not integral;
-over Q(z) they are RationalFunction, and the kinds may mix within one
-polynomial.  An integral Fraction is stored as its int numerator, so the
-common integer case runs on int arithmetic.  All arithmetic stays exact
+Every coefficient is held in the stored form of ratfunc.scalar: an int
+when integral, a Fraction for any other rational, and a RationalFunction
+only when it depends on z, so a constant of Q(z) is stored as its
+rational and the kinds may mix within one polynomial.  The common
+integer case thus runs on int arithmetic.  All arithmetic stays exact
 and runs on the coefficient-tuple kernel of the ratfunc module.  Powers
 and Taylor shifts take one path over both fields: they clear the
 denominators, work in Z or Z[z], and divide back once.  The same
@@ -18,22 +19,12 @@ import re
 from fractions import Fraction
 
 from .ratfunc import (
-    RationalFunction, Z, _add, _horner, _mul, _neg, _pow, _scale, clear_denominators, format_coeffs,
-    quotient,
+    RationalFunction, Z, _add, _horner, _mul, _neg, _pow, _scale, _trim, clear_denominators,
+    format_coeffs, quotient, scalar,
 )
 
 #: degree of the zero polynomial
 NEG_INF = float("-inf")
-
-
-def _coerce(c):
-    """The stored form of a coefficient: an integral rational becomes a plain int."""
-    if type(c) is int or isinstance(c, RationalFunction):
-        return c
-    if isinstance(c, (int, Fraction)):  # a Fraction, or an int subclass such as bool
-        c = Fraction(c)
-        return c.numerator if c.denominator == 1 else c
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 def _operand(x):
@@ -51,10 +42,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "coeffs", _trim([scalar(c) for c in coeffs]))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

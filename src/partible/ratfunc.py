@@ -23,11 +23,11 @@ from fractions import Fraction
 _ONE = (1,)
 
 
-def _trim(coeffs) -> tuple:
-    out = list(coeffs)
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
+def _trim(coeffs: list) -> tuple:
+    """The list coeffs without its trailing zeros, trimmed in place, as a tuple."""
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def _add(a, b):
@@ -55,7 +55,7 @@ def _mul(a, b):
 
 
 def _scale(a, c):
-    return _trim(x * c for x in a)
+    return _trim([x * c for x in a])
 
 
 def _pow(a, n: int):
@@ -122,9 +122,25 @@ def _horner(coeffs, x):
     return acc
 
 
+def scalar(c):
+    """The stored form of a scalar: an int when integral, a Fraction for any other
+    rational, and a RationalFunction only when it depends on z."""
+    if type(c) is int:
+        return c
+    if isinstance(c, RationalFunction):
+        if len(c.num) > 1 or len(c.den) > 1:
+            return c
+        c = Fraction(c.num[0] if c.num else 0, c.den[0])
+    elif isinstance(c, int):  # an int subclass such as bool
+        return int(c)
+    elif not isinstance(c, Fraction):
+        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    return c.numerator if c.denominator == 1 else c
+
+
 def quotient(a, b):
-    """a / b in the field of a and b: a Fraction for two ints, never a float."""
-    return Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else a / b
+    """a / b in the field of a and b, in its stored form: never a float."""
+    return scalar(Fraction(a, b) if isinstance(a, int) and isinstance(b, int) else a / b)
 
 
 def clear_denominators(values) -> tuple[list, object]:
@@ -166,8 +182,6 @@ def format_coeffs(coeffs, var: str = "z") -> str:
         c = coeffs[deg]
         if not c:
             continue
-        if isinstance(c, RationalFunction) and c.is_constant():
-            c = c.as_fraction()
         if isinstance(c, (int, Fraction)):
             sign, body = ("-", str(-c)) if c < 0 else ("+", str(c))
         else:
@@ -305,22 +319,13 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.as_fraction())
-        return hash(self._monic())
+        c = scalar(self)  # equal to a rational, hashed as that rational
+        return hash(self._monic() if c is self else c)
 
     def _monic(self) -> tuple[tuple, tuple]:
         """num and den as Fraction tuples over the monic denominator: the printed form."""
         lead = self.den[-1]
         return tuple(Fraction(c, lead) for c in self.num), tuple(Fraction(c, lead) for c in self.den)
-
-    def is_constant(self) -> bool:
-        return len(self.num) <= 1 and len(self.den) == 1
-
-    def as_fraction(self) -> Fraction:
-        if not self.is_constant():
-            raise ValueError(f"{self} is not a constant")
-        return Fraction(self.num[0], self.den[0]) if self.num else Fraction(0)
 
     def evaluate(self, z0) -> Fraction:
         """Exact value at z = z0; raises ZeroDivisionError at a pole."""

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
-from .poly import Polynomial, _coerce
+from .poly import Polynomial
 from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators, quotient
 
 
@@ -60,11 +60,6 @@ def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     return ReductionResult(x, exceptional, Polynomial(remainder))
 
 
-def _quotient(a, b):
-    """a / b in the field of a and b, never a float: an int when it is integral over Q."""
-    return _coerce(quotient(a, b))
-
-
 def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[dict, dict, list]:
     """Cancel the terms of degree >= d of rem/den from the top down, fraction-free.
 
@@ -87,21 +82,21 @@ def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[d
         if not c:
             continue
         if j in skip:
-            moved[j] = _quotient(c, den)
+            moved[j] = quotient(c, den)
             continue
         target, scale = image(j)
         if len(target) - 1 != deg:
             raise AssertionError(f"adjoint image {j} has degree {len(target) - 1}, expected {deg}")
         a, b = cancel_common(target[deg], c)
         den = a * den
-        steps[j] = _quotient(b * scale, den)
+        steps[j] = quotient(b * scale, den)
         rem = [a * r - b * t for r, t in zip(rem, target)]
         if isinstance(den, int):
             content = math.gcd(den, *rem)
             if content > 1:
                 den //= content
                 rem = [r // content for r in rem]
-    return steps, moved, [_quotient(r, den) for r in rem]
+    return steps, moved, [quotient(r, den) for r in rem]
 
 
 def _lazy_list(items):
@@ -171,8 +166,8 @@ def gamma_candidates(L: ShiftOperator) -> list:
             if not ell:
                 return []
             sign = -1 if (d + D) % 2 else 1
-            gamma = _quotient(D * J * ell - lo.coefficient(D - 1) - sign * hi.coefficient(D - 1),
-                              2 * D * ell)
+            gamma = quotient(D * J * ell - lo.coefficient(D - 1) - sign * hi.coefficient(D - 1),
+                             2 * D * ell)
             break
     return [gamma] if _mirrored(L, gamma, d) else []
 
@@ -215,9 +210,7 @@ def center_scale(gamma) -> int:
     reduction is carried out in its powers.  A center depending on z
     has scale 1.
     """
-    if isinstance(gamma, RationalFunction):
-        gamma = gamma.as_fraction() if gamma.is_constant() else 0
-    return 2 if Fraction(gamma).denominator == 2 else 1
+    return 1 if isinstance(gamma, RationalFunction) or gamma.denominator != 2 else 2
 
 
 def default_alpha(gamma):
@@ -296,13 +289,13 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     if leaks:
         raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
     alphas = {j: alpha(j) for j in steps}
-    v_coeffs = {j: _quotient(step, alphas[j]) for j, step in steps.items()}
+    v_coeffs = {j: quotient(step, alphas[j]) for j, step in steps.items()}
 
     # the identity times the common denominator D of its coefficients, in Z or Q[z]:
     # D w^m = sum_i U_i w^i + sum_j V_j I_j, with L*(x_j) = I_j / E_j
     low = max(d, 0)
     nums, D = clear_denominators([u_coeffs.get(i, 0) for i in range(low)]
-                                 + [_quotient(v * alphas[j], image(j)[1]) for j, v in v_coeffs.items()])
+                                 + [quotient(v * alphas[j], image(j)[1]) for j, v in v_coeffs.items()])
     total = nums[:low] + [0] * (max(m + 1, low) - low)
     for j, V in zip(v_coeffs, nums[low:]):
         for i, t in enumerate(image(j)[0]):
@@ -321,4 +314,4 @@ def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, al
     if alpha_s is None:
         alpha_s = default_alpha(cert.gamma)(s)
     I, E = adjoint_basis(L, cert)(s)
-    return [_quotient(alpha_s * c, E * (2 // center_scale(cert.gamma)) ** i) for i, c in enumerate(I)]
+    return [quotient(alpha_s * c, E * (2 // center_scale(cert.gamma)) ** i) for i, c in enumerate(I)]

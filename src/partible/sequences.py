@@ -9,14 +9,13 @@ binomial product, not of the sums, whose recurrence is never used.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import floordiv, mul
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
-from .ratfunc import RationalFunction, Z, clear_denominators
+from .ratfunc import RationalFunction, Z, _horner, _primitive, _trim, clear_denominators
 
 
 class UnknownFamily(ValueError):
@@ -58,13 +57,7 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     """
     if z == Z:
         return [RationalFunction(row) for row in binomial_rows(n)]
-    out = []
-    for row in binomial_rows(n):
-        total = z * 0  # 0 in z's own type, so D_0 has the type of D_m
-        for t in reversed(row):
-            total = total * z + t
-        out.append(total)
-    return out
+    return [_horner(row, z) for row in binomial_rows(n)]
 
 
 def delannoy_number_terms(n: int) -> list[int]:
@@ -174,13 +167,8 @@ def _nullspace_solution(terms, order: int, deg: int):
 
 def _normalized_operator(sol, deg: int) -> ShiftOperator:
     """Coprime integer coefficients, positive leading coefficient of a_J."""
-    g = math.gcd(*sol)
-    if next(c for c in reversed(sol) if c) < 0:
-        g = -g
-    return ShiftOperator([
-        Polynomial([c // g for c in sol[i : i + deg + 1]])
-        for i in range(0, len(sol), deg + 1)
-    ])
+    sol = _primitive(_trim(sol))
+    return ShiftOperator([Polynomial(sol[i : i + deg + 1]) for i in range(0, len(sol), deg + 1)])
 
 
 def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | None:

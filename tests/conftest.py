@@ -15,8 +15,7 @@ from unittest import mock
 
 import pytest
 
-from partible import operators, poly, reduction
-from partible.ratfunc import RationalFunction
+from partible import operators, poly, ratfunc, reduction
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
@@ -25,18 +24,16 @@ os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYT
 @pytest.fixture(scope="session")
 def all_fractions():
     """A context manager under which Polynomial stores every coefficient over Q
-    as a Fraction, integral ones included, as it did before int coefficients.
+    as a Fraction, integral ones included, as it did before int coefficients;
+    a constant RationalFunction is demoted to its rational as in the library.
 
     The operator caches are cleared on entry and exit, so neither side is
     served results computed on the other.
     """
 
-    def fraction_coerce(c):
-        if isinstance(c, int):
-            return Fraction(c)
-        if isinstance(c, (Fraction, RationalFunction)):
-            return c
-        raise TypeError(f"unsupported coefficient type {type(c).__name__}")
+    def fraction_scalar(c):
+        c = ratfunc.scalar(c)
+        return Fraction(c) if type(c) is int else c
 
     @contextlib.contextmanager
     def manager():
@@ -44,7 +41,7 @@ def all_fractions():
         for cache in caches:
             cache.cache_clear()
         try:
-            with mock.patch.object(poly, "_coerce", fraction_coerce):
+            with mock.patch.object(poly, "scalar", fraction_scalar):
                 yield
         finally:
             for cache in caches:

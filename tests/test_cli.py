@@ -416,6 +416,29 @@ def test_p_max_is_bounded_before_the_sieve(capsys, monkeypatch):
         main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5000"])
 
 
+class _ReductionReached(Exception):
+    pass
+
+
+def test_symbolic_r_max_is_bounded_before_any_reduction(capsys, monkeypatch):
+    # symbolic delannoy_poly took 8.2 s at r <= 40 and 43 s at r <= 50; tables over Q,
+    # and at a given z, keep the exponent-derived bound
+    def derive(*args, **kwargs):
+        raise _ReductionReached
+
+    monkeypatch.setattr(congruence, "derive_constant", derive)
+    assert main(["constants", "--family", "delannoy_poly", "--r-max", "41"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "--r-max 41 is above 40" in captured.err
+    for argv in (["delannoy_poly", "--r-max", "40"], ["delannoy_poly", "--r-max", "41", "--z", "7"],
+                 ["apery", "--r-max", "41"]):
+        with pytest.raises(_ReductionReached):
+            main(["constants", "--family", *argv])
+    proc = _run_cli(["constants", "--family", "delannoy_poly", "--r-max", "41", "--json"], timeout=5)
+    assert proc.returncode == 2 and proc.stdout == "" and "above 40" in proc.stderr
+
+
 def test_reduce_on_z_denominators_is_quick(tmp_path):
     # over Q(z) held as Fraction tuples, each gcd ran Euclid over Fractions: about 535 s
     spec = {"order": 2, "coeffs": ["k^2/(z+1) + 3", "-(2*k+3)*(z-2)/(z^2+1)", "k/(2*z-1) + 1/2"],

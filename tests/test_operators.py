@@ -270,3 +270,7 @@ def test_operator_json_roundtrip():
         operator_from_dict({"order": 1, "coeffs": ["1", "0"], "field": "Q"})
     with pytest.raises(ValueError):
         operator_from_dict({"order": 0, "coeffs": ["z"], "field": "Q"})
+    # declared Q(z), but z cancels from every coefficient: stored, and reported, over Q
+    L = operator_from_dict({"order": 1, "coeffs": ["z/z*k + (z+1)/(z+1)", "(z^2 - 1)/(z - 1) - z"],
+                            "field": "Q(z)"})
+    assert L == ShiftOperator([K + 1, 1]) and operator_to_dict(L)["field"] == "Q"

@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partible.poly import (
@@ -444,10 +444,14 @@ def test_parse_matches_the_all_fraction_kernel(case, all_fractions):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(_PARSER_CASES)
+@example(("z/z*k + (z+1)/(z+1)", "Q(z)"))
+@example(("(z*k - (z - 1)*k)^2 + (z^2 - 1)/(z + 1) - z", "Q(z)"))
 def test_parsed_coefficients_are_int_fraction_or_rational_function(case):
+    # a RationalFunction only where the value depends on z
     result = _parsed(*case)
     for c in result[0].coeffs if isinstance(result, tuple) else ():
-        assert type(c) in (int, RationalFunction) or type(c) is Fraction and c.denominator != 1, c
+        assert (type(c) is int or type(c) is Fraction and c.denominator != 1
+                or type(c) is RationalFunction and max(len(c.num), len(c.den)) > 1), c
 
 
 def test_float_coefficients_are_rejected():

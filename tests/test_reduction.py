@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from partible import reduction
@@ -575,9 +575,10 @@ def _coefficients(value):
 
 
 def _exact_kind(c) -> bool:
-    """int, non-integral Fraction or RationalFunction: never a float or an integral Fraction."""
-    return (type(c) in (int, RationalFunction)
-            or type(c) is Fraction and c.denominator != 1)
+    """int, non-integral Fraction or a RationalFunction depending on z: never a float, an
+    integral Fraction or a constant RationalFunction."""
+    return (type(c) is int or type(c) is Fraction and c.denominator != 1
+            or type(c) is RationalFunction and max(len(c.num), len(c.den)) > 1)
 
 
 @pytest.mark.parametrize("query", sorted(_QUERIES))
@@ -597,6 +598,9 @@ def test_int_coefficients_match_the_all_fraction_kernel(query, case, all_fractio
 @pytest.mark.parametrize("query", sorted(_QUERIES))
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(case=_queries())
+# z cancels from the input, and from the center -2z / 2z and the exceptional term of reduce
+@example(case=(ShiftOperator([Z / Z * K + 1, (Z + 1) / (Z + 1)]), K ** 2 * (Z / Z), 3))
+@example(case=(ShiftOperator([Z * (K + 1), -Z * (K + 2)]), K ** 3 + 2, 3))
 def test_results_hold_no_float_and_no_integral_fraction(query, case):
     L, Q, m = case
     values = list(_coefficients(_QUERIES[query](L, Q, m)))
