@@ -13,7 +13,6 @@ from .congruence import (
     HypothesisViolation,
     constant_table,
     derive_constant,
-    integrality_check,
     odd_power_sum_zero,
     odd_power_symbolic_zero,
     sweep,
@@ -28,7 +27,6 @@ from .exact import (
     rational_to_residue,
 )
 from .operators import (
-    Certificate,
     InsufficientTerms,
     ReductionProfile,
     ShiftOperator,
@@ -54,7 +52,6 @@ from .reduction import (
     PartibleCertificate,
     PartibleReduction,
     ReductionResult,
-    expand_adjoint_basis,
     find_gamma,
     gamma_candidates,
     is_partible,
@@ -62,12 +59,10 @@ from .reduction import (
     reduce,
 )
 from .sequences import (
-    FAMILY_NAMES,
     SequenceFamily,
     UnknownFamily,
     apery_terms,
     builtin,
-    delannoy_number_terms,
     delannoy_poly_terms,
     guess_annihilator,
 )

@@ -27,9 +27,7 @@ __all__ = [
     "ConstantTable",
     "HypothesisViolation",
     "constant_table",
-    "delannoy_ring_check",
     "derive_constant",
-    "integrality_check",
     "odd_power_sum_zero",
     "odd_power_symbolic_zero",
     "sweep",
@@ -189,29 +187,6 @@ def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
         if isinstance(c, RationalFunction) and len(c.den) > 1:
             table.z_in_denominator = True
     return table
-
-
-def delannoy_ring_check(c) -> bool:
-    """Whether a constant lies in Z[1/(4z)].
-
-    Such elements are n(z)/(4z)^mu with integer n, i.e. after monic
-    normalization: the denominator is a pure power of z and the only
-    prime in the numeric denominators is 2.
-    """
-    if not isinstance(c, RationalFunction):
-        n = Fraction(c).denominator
-    elif any(c.den[:-1]):
-        return False
-    else:
-        n = _denominator_content(c)
-    return n & (n - 1) == 0  # a power of 2
-
-
-def integrality_check(table: ConstantTable, p: int) -> bool:
-    """v_p(c_r) >= 0 for every table entry (numeric part for symbolic z)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return all(_denominator_content(c) % p for c in table.entries.values())
 
 
 @dataclass

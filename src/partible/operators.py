@@ -98,11 +98,12 @@ class ReductionProfile:
 def profile(L: ShiftOperator) -> ReductionProfile:
     """Aggregated coefficients b_l, the degree d, indicator and its roots."""
     J = L.order
+    shifted = [L.coeffs[J - j].shift(j - J) for j in range(J + 1)]
     b = []
     for ell in range(J + 1):
         acc = Polynomial()
         for j in range(ell, J + 1):
-            acc = acc + math.comb(j, ell) * L.coeffs[J - j].shift(j - J)
+            acc = acc + math.comb(j, ell) * shifted[j]
         b.append(acc)
     d = max(p.degree - ell for ell, p in enumerate(b) if not p.is_zero)
     d = int(d)
@@ -189,15 +190,11 @@ def integer_roots(f: Polynomial) -> set[int]:
     return {int(r) for r in rational_roots(f) if r.denominator == 1 and r >= 0}
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """The polynomials u_i making L*(x) F telescope for L-annihilated F."""
+def certificate(L: ShiftOperator, x) -> tuple:
+    """The polynomials u_i making L*(x) F telescope for L-annihilated F.
 
-    u_polys: tuple
-
-
-def certificate(L: ShiftOperator, x) -> Certificate:
-    """u_i(k) = sum_{j=1}^{J-i} a_{i+j}(k-j) x(k-j) for i = 0..J-1."""
+    u_i(k) = sum_{j=1}^{J-i} a_{i+j}(k-j) x(k-j) for i = 0..J-1.
+    """
     J = L.order
     if J < 1:
         raise ValueError("certificates require an operator of order >= 1")
@@ -208,7 +205,7 @@ def certificate(L: ShiftOperator, x) -> Certificate:
         for j in range(1, J - i + 1):
             u = u + (L.coeffs[i + j] * x).shift(-j)
         us.append(u)
-    return Certificate(tuple(us))
+    return tuple(us)
 
 
 def annihilates(L: ShiftOperator, terms) -> bool:
@@ -239,7 +236,7 @@ def telescope_sum_check(L: ShiftOperator, x, terms, n: int) -> bool:
     lhs = 0
     for k in range(n):
         lhs = lhs + lx.eval(k) * terms[k]
-    us = certificate(L, x).u_polys
+    us = certificate(L, x)
     head = 0
     tail = 0
     for i, u in enumerate(us):

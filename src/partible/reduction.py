@@ -189,7 +189,7 @@ class PartibleCertificate:
 
 @functools.lru_cache(maxsize=8)
 def is_partible(L: ShiftOperator) -> PartibleCertificate | None:
-    """Certificate for a nondegenerate operator with a symmetry center."""
+    """The certificate of a nondegenerate operator with a symmetry center."""
     prof = operator_profile(L)
     if prof.roots:
         return None
@@ -211,13 +211,6 @@ def center_scale(gamma) -> int:
     has scale 1.
     """
     return 1 if isinstance(gamma, RationalFunction) or gamma.denominator != 2 else 2
-
-
-def default_alpha(gamma):
-    """Basis scaling rule: alpha_s = 2^(s+1) for half-integral centers, else 1."""
-    if center_scale(gamma) == 2:
-        return lambda s: 2 ** (s + 1)
-    return lambda s: 1
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,12 +270,13 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
     coordinates, where L*(x_j) has only powers of the parity of d+j, so
     the u_i left below degree d share the parity of m.  The identity
     above, times the common denominator of u, v and alpha, is checked
-    in centered coordinates and ring arithmetic before returning.
+    in centered coordinates and ring arithmetic before returning.  alpha
+    defaults to s -> beta^(s+1), so x_s = beta (beta (k - gamma + J/2))^s.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
-    image, d = adjoint_basis(L, cert), cert.d
-    alpha = alpha or default_alpha(cert.gamma)
+    image, d, beta = adjoint_basis(L, cert), cert.d, center_scale(cert.gamma)
+    alpha = alpha or (lambda s: beta ** (s + 1))
     steps, _, remainder = _back_substitute([0] * m + [1], 1, d, image)
     u_coeffs = {i: c for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
@@ -302,16 +296,5 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
             total[i] += V * t
     if total != [0] * m + [D] + [0] * (len(total) - m - 1):
         raise AssertionError("reduction identity failed exactness audit")
-    return PartibleReduction(m, cert.gamma, center_scale(cert.gamma), u_coeffs, v_coeffs, alphas)
+    return PartibleReduction(m, cert.gamma, beta, u_coeffs, v_coeffs, alphas)
 
-
-def expand_adjoint_basis(L: ShiftOperator, cert: PartibleCertificate, s: int, alpha_s=None) -> list:
-    """Coefficients of L*(x_s) in powers of 2(k - gamma).
-
-    For the half-integral centers of the built-in operators this is the
-    (2k+1)-power basis.
-    """
-    if alpha_s is None:
-        alpha_s = default_alpha(cert.gamma)(s)
-    I, E = adjoint_basis(L, cert)(s)
-    return [quotient(alpha_s * c, E * (2 // center_scale(cert.gamma)) ** i) for i, c in enumerate(I)]

@@ -60,10 +60,6 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     return [_horner(row, z) for row in binomial_rows(n)]
 
 
-def delannoy_number_terms(n: int) -> list[int]:
-    return delannoy_poly_terms(n, 1)
-
-
 def _apery_shape(sign: int) -> ShiftOperator:
     """(k+2)^3 sigma^2 + sign (2k+3)(17k^2+51k+39) sigma + (k+1)^3."""
     k = Polynomial.variable()
@@ -95,11 +91,10 @@ def delannoy_operator(z=None) -> ShiftOperator:
 _FAMILIES = dict(
     apery=(lambda n, z: apery_terms(n), lambda z: apery_operator(), False),
     apery_signed=(lambda n, z: apery_signed_terms(n), lambda z: apery_signed_operator(), False),
-    delannoy_number=(lambda n, z: delannoy_number_terms(n), lambda z: delannoy_operator(1), False),
+    delannoy_number=(lambda n, z: delannoy_poly_terms(n, 1), lambda z: delannoy_operator(1), False),
     delannoy_poly=(lambda n, z: delannoy_poly_terms(n, Z if z is None else z),
                    delannoy_operator, True),
 )
-FAMILY_NAMES = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)

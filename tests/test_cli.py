@@ -366,6 +366,17 @@ def test_deep_nesting_exits_2_and_sign_runs_parse(apery_file, capsys):
     assert json.loads(capsys.readouterr().out)["remainder"] == "k"
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path):
+    # json.load raises RecursionError here; exit 1 is kept for a failed cell
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for args in (["profile", "--operator", str(deep)],
+                 ["guess", "--terms", str(deep), "--order", "1", "--deg", "1"]):
+        proc = _run_cli(args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == "" and proc.stderr.startswith("error: ") and "nested" in proc.stderr
+
+
 def test_symbolic_delannoy_reduce_of_k40_is_quick(tmp_path):
     # each step of the fraction-free loop multiplies by a polynomial in z instead
     # of normalising a rational function; in the field this took about 30 s

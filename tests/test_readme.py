@@ -1,0 +1,30 @@
+"""The README's library tour runs as written and states true values."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the values the tour's comments state
+CHECKS = """
+assert prof.d == 3 and prof.nondegenerate
+assert cert.gamma == Fraction(-1, 2)
+assert red.u_coeffs == {1: 1}
+assert red.v_coeffs == {0: Fraction(-1, 8), 2: Fraction(-1, 8)}
+assert red.alphas == {0: 2, 2: 8}  # x_s = 2(2k+3)^s
+c = derive_constant("apery", 2)
+assert c == 1 and type(c) is int
+assert verify("apery", 2, 97).passed
+print("ok")
+"""
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    proc = subprocess.run([sys.executable, "-c", blocks[0] + CHECKS],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"

@@ -13,13 +13,11 @@ from partible import reduction
 from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile, rational_roots
 from partible.poly import Polynomial, parity_support
-from partible.ratfunc import RationalFunction, Z
+from partible.ratfunc import RationalFunction, Z, quotient
 from partible.reduction import (
     NotPartible,
     PartibleCertificate,
     center_scale,
-    default_alpha,
-    expand_adjoint_basis,
     find_gamma,
     gamma_candidates,
     is_partible,
@@ -310,18 +308,25 @@ def test_partible_reduce_rejects_bad_certificate():
                         PartibleCertificate(Fraction(0), -1, 1))
 
 
-def test_expand_adjoint_basis_builtins():
+def _basis_image(L, cert, s, alpha_s):
+    """L*(alpha_s (k - gamma + J/2)^s) in powers of w = beta (k - gamma), from adjoint_basis."""
+    I, E = reduction.adjoint_basis(L, cert)(s)
+    return [quotient(alpha_s * c, E) for c in I]
+
+
+def test_adjoint_basis_images_of_builtins():
+    # half-integral centers: w = 2(k - gamma), the (2k+1)-power basis
     L = apery_operator()
-    cert = is_partible(L)
-    assert expand_adjoint_basis(L, cert, 0, 2) == [0, 0, 0, -8]
+    assert _basis_image(L, is_partible(L), 0, 2) == [0, 0, 0, -8]
     Ls = apery_signed_operator()
-    assert expand_adjoint_basis(Ls, is_partible(Ls), 0, 2)[3] == 9
+    assert _basis_image(Ls, is_partible(Ls), 0, 2)[3] == 9
     D = delannoy_operator()
-    coeffs = expand_adjoint_basis(D, is_partible(D), 1, 4)
+    assert center_scale(is_partible(D).gamma) == 2
+    coeffs = _basis_image(D, is_partible(D), 1, 4)
     assert coeffs[2] == -4 * Z and coeffs[0] == 4 and not coeffs[1]
 
 
-def test_expand_adjoint_basis_at_integer_centers_of_odd_order():
+def test_adjoint_basis_at_integer_centers_of_odd_order():
     # center 0 and odd J: beta = 1, and x_s = alpha_s (k + J/2)^s has a half-integral factor
     a, b = K ** 2 + 3 * K + 5, 2 * K ** 3 - K
     for coeffs in ([a, a.subst_linear(-1, -1)],
@@ -331,9 +336,8 @@ def test_expand_adjoint_basis_at_integer_centers_of_odd_order():
         assert cert.gamma == 0 and cert.order % 2 and center_scale(cert.gamma) == 1
         for s in range(8):
             image = adjoint_apply(L, 3 * (K + Fraction(cert.order, 2)) ** s)
-            # in powers of 2(k - gamma) = 2k: image(k) = sum_i c_i (2k)^i
-            expected = list(image.subst_linear(Fraction(1, 2), 0).coeffs)
-            assert expand_adjoint_basis(L, cert, s, 3) == expected
+            # in powers of w = k - gamma = k
+            assert _basis_image(L, cert, s, 3) == list(image.coeffs)
 
 
 def test_parity_of_remainders_up_to_15():
@@ -367,9 +371,9 @@ def test_basis_image_symmetry():
     # p_s(gamma + k) == (-1)^(d+s) p_s(gamma - k) as exact identities
     for L in (apery_operator(), delannoy_operator()):
         cert = is_partible(L)
-        alpha = default_alpha(cert.gamma)
+        beta = center_scale(cert.gamma)
         for s in range(11):
-            p = adjoint_apply(L, alpha(s) * (K - cert.gamma + Fraction(cert.order, 2)) ** s)
+            p = adjoint_apply(L, beta ** (s + 1) * (K - cert.gamma + Fraction(cert.order, 2)) ** s)
             left = p.shift(cert.gamma)
             right = p.subst_linear(-1, cert.gamma)
             sign = -1 if (cert.d + s) % 2 else 1
@@ -392,7 +396,9 @@ def test_integrality_of_adjoint_basis_coefficients():
     L = apery_operator()
     cert = is_partible(L)
     for s in range(13):
-        coeffs = expand_adjoint_basis(L, cert, s)
+        # x_s = 2 (2k+3)^s, the default scaling beta^(s+1) with beta = 2
+        assert partible_reduce(s + 3, L, cert).alphas[s] == 2 ** (s + 1)
+        coeffs = _basis_image(L, cert, s, 2 ** (s + 1))
         assert all(Fraction(c).denominator == 1 for c in coeffs)
         assert coeffs[s + 3] == -8
 
@@ -479,7 +485,8 @@ def _oracle_reduce(Q, L):
 
 
 def _oracle_partible_reduce(m, L, cert):
-    beta, alpha = center_scale(cert.gamma), default_alpha(cert.gamma)
+    beta = center_scale(cert.gamma)
+    alpha = lambda s: beta ** (s + 1)  # partible_reduce's default scaling
     coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
     lin = K - cert.gamma + Fraction(cert.order, 2)
     # image j: L*(lin^j) at k = gamma + t, in powers of t

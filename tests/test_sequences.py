@@ -21,7 +21,6 @@ from partible.sequences import (
     apery_terms,
     binomial_rows,
     builtin,
-    delannoy_number_terms,
     delannoy_operator,
     delannoy_poly_terms,
     guess_annihilator,
@@ -51,7 +50,7 @@ def test_delannoy_poly_terms():
     assert d2 == 6 * Z ** 2 + 6 * Z + 1
     assert delannoy_poly_terms(6, 0) == [1] * 6
     assert delannoy_poly_terms(3, 1)[2] == 13
-    assert delannoy_number_terms(4) == [1, 3, 13, 63]
+    assert delannoy_poly_terms(4, 1) == [1, 3, 13, 63]
 
 
 def test_ratio_generators_match_comb_definitions():
@@ -132,7 +131,7 @@ def test_guess_recovers_apery_operator():
 
 
 def test_guess_recovers_delannoy_operator_at_one():
-    L = guess_annihilator(delannoy_number_terms(30), 2, 1)
+    L = guess_annihilator(delannoy_poly_terms(30, 1), 2, 1)
     assert L == delannoy_operator(1)
 
 
