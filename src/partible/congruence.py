@@ -215,15 +215,50 @@ class CongruenceReport:
         return out
 
 
-def verify(
-    family: str,
-    r: int,
-    p: int,
-    z: int | None = None,
-    power_parity: str | None = None,
-    _terms=None,
-    _constant=None,
-) -> CongruenceReport:
+def _constants(family: str, rule: _Rule, parity: str, rs) -> dict:
+    """r -> c_r for each r in rs, with no reference to any prime; 0 where the sum vanishes."""
+    vanishes = rule.parities[parity] is None
+    return {r: 0 if vanishes else derive_constant(family, r, power_parity=parity) for r in rs}
+
+
+def _cells(family, rule: _Rule, parity: str, p: int, z, terms, constants: dict) -> list:
+    """The reports at the prime p, one per r of constants (consecutive r, ascending).
+
+    The first p terms are reduced mod p^e and the unit is computed once.  The
+    weighted terms (2k+1)^power F(k) are taken by pow at the first r; each
+    next r multiplies them by (2k+1)^2, so every lhs is the definition sum.
+    A cell whose right side raises is reported failed, with lhs and rhs
+    None and the exception's class and message as its error.
+    """
+    modulus = p ** rule.e
+    residues = [t % modulus for t in terms[:p]]
+    unit = rule.unit(p, residues)
+    odd = range(1, 2 * p, 2)
+    squares = [w * w for w in odd]
+    weighted = None
+    reports = []
+    for r, c in constants.items():
+        started = time.perf_counter()
+        power = _power(r, parity)
+        if weighted is None:
+            weighted = [pow(w, power, modulus) * t % modulus for w, t in zip(odd, residues)]
+        else:
+            weighted = [x * s % modulus for x, s in zip(weighted, squares)]
+        lhs, error = sum(weighted) % modulus, None
+        try:
+            c = c.evaluate(z) if isinstance(c, RationalFunction) else c
+            rhs = rational_to_residue(c * unit, modulus).value
+        except Exception as exc:  # keep the other cells alive; report this one as failed
+            lhs = rhs = None
+            error = f"{type(exc).__name__}: {exc}"
+        reports.append(CongruenceReport(
+            family, r, p, rule.e, power, lhs, rhs, passed=error is None and lhs == rhs,
+            elapsed=0.0 if error else time.perf_counter() - started, z=z, error=error))
+    return reports
+
+
+def verify(family: str, r: int, p: int, z: int | None = None,
+           power_parity: str | None = None) -> CongruenceReport:
     """Check one congruence cell exactly, modulo p^e for the family's e.
 
     lhs = sum_{k=0}^{p-1} (2k+1)^power F(k) mod p^e with F generated from
@@ -231,72 +266,44 @@ def verify(
     (_RULES).  power_parity picks power = 2r+1 ("odd") or 2r+2 ("even");
     by default the family's first parity in _RULES.  An odd-power
     Delannoy sum must vanish; the Apery families only have the odd one.
+    A violated hypothesis raises; a right side that raises is reported as
+    a failed cell, as in sweep.  The report's elapsed excludes term
+    generation and constant derivation.
     """
-    started = time.perf_counter()
     rule, parity = _rule(family, power_parity, z)
+    if r < 0:
+        raise ValueError("r must be nonnegative")
     _require(is_prime(p), f"{p} is not prime")
     _require(p >= rule.min_prime, f"{family} requires a prime p >= {rule.min_prime}")
     if rule.takes_z:
         _require(isinstance(z, int) and z != 0, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
-    power = _power(r, parity)
-
-    modulus = p ** rule.e
-    terms = _terms if _terms is not None else [t % modulus for t in builtin(family, z).terms(p)]
-    lhs = sum(map(mul, map(pow, range(1, 2 * p, 2), repeat(power), repeat(modulus)), terms)) % modulus
-
-    if rule.parities[parity] is None:
-        c = 0
-    else:
-        c = _constant if _constant is not None else derive_constant(
-            family, r, power_parity=parity)
-    if isinstance(c, RationalFunction):
-        c = c.evaluate(z)
-    rhs = rational_to_residue(c * rule.unit(p, terms), modulus).value
-
-    return CongruenceReport(
-        family=family,
-        r=r,
-        p=p,
-        e=rule.e,
-        power=power,
-        z=z,
-        lhs=lhs,
-        rhs=rhs,
-        passed=lhs == rhs,
-        elapsed=time.perf_counter() - started,
-    )
+    terms = builtin(family, z).terms(p)
+    (report,) = _cells(family, rule, parity, p, z, terms, _constants(family, rule, parity, [r]))
+    return report
 
 
-def sweep(
-    family: str,
-    r_max: int,
-    p_max: int,
-    z_values=None,
-    power_parity: str | None = None,
-) -> list[CongruenceReport]:
+def sweep(family: str, r_max: int, p_max: int, z_values=None,
+          power_parity: str | None = None) -> list[CongruenceReport]:
     """All cells (r <= r_max, admissible p <= p_max[, z]) for one family.
 
     The admissible primes are those from the family's smallest prime up,
     prime to z.  Constants are derived once per r with no reference to
-    any prime.  The terms are generated once per z, and reduced mod p^e
-    once per prime for all r.  A cell that raises is reported as failed,
+    any prime.  The terms are generated once per z; each prime checks
+    every r at once (_cells).  A cell that raises is reported as failed,
     with lhs and rhs None and the exception's class and message as its
-    error.  Raises HypothesisViolation when some z (or the family) has no cell.
+    error.  Raises HypothesisViolation when some z is not a nonzero int,
+    or some z (or the family) has no cell.
     """
     rule, parity = _rule(family, power_parity, z_values)
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
     zs = [None]
     if rule.takes_z:
-        zs = [int(v) for v in (z_values if z_values is not None else [1])]
+        zs = list(z_values) if z_values is not None else [1]
         _require(zs, f"{family} needs at least one z")
-        _require(all(zs), f"{family} needs a nonzero integer z")
-    constants = {
-        r: derive_constant(family, r, power_parity=parity)
-        if rule.parities[parity] is not None else None
-        for r in range(r_max + 1)
-    }
+        _require(all(isinstance(z, int) and z != 0 for z in zs), f"{family} needs a nonzero integer z")
+    constants = _constants(family, rule, parity, range(r_max + 1))
 
     reports = []
     for z in zs:
@@ -306,21 +313,7 @@ def sweep(
             raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
         terms = builtin(family, z).terms(max(primes))
         for p in primes:
-            modulus = p ** rule.e
-            residues = [t % modulus for t in terms[:p]]
-            for r in range(r_max + 1):
-                try:
-                    report = verify(
-                        family, r, p, z=z, power_parity=parity,
-                        _terms=residues, _constant=constants[r],
-                    )
-                except Exception as exc:  # keep the sweep alive; report the cell as failed
-                    report = CongruenceReport(
-                        family=family, r=r, p=p, e=rule.e, power=_power(r, parity), z=z,
-                        lhs=None, rhs=None, passed=False, elapsed=0.0,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                reports.append(report)
+            reports += _cells(family, rule, parity, p, z, terms, constants)
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))
     return reports
 

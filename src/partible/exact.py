@@ -7,7 +7,6 @@ module only adds what the standard library does not ship.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 
@@ -19,7 +18,6 @@ class NonInvertibleDenominator(ValueError):
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@functools.lru_cache(maxsize=4096)  # verify re-checks its prime on every cell of a sweep
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; exact for every n below 3.3e24."""
     if n < 2:

@@ -2,9 +2,11 @@
 
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
+from partible import congruence
 from partible.cli import main
 from partible.congruence import (
     _RULES,
@@ -18,7 +20,7 @@ from partible.congruence import (
     sweep,
     verify,
 )
-from partible.exact import is_prime, legendre_symbol, primes_in_range
+from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
 from partible.ratfunc import RationalFunction, Z
 from partible.sequences import _FAMILIES, UnknownFamily, delannoy_poly_terms
 
@@ -149,6 +151,28 @@ def test_verify_even_parity_delannoy_poly():
     assert rep.passed and rep.power == 4
 
 
+def test_verify_rejects_negative_r():
+    # a vanishing parity derives no constant, so r < 0 must not reach the weights
+    for kwargs in (dict(family="delannoy_poly", z=1),
+                   dict(family="delannoy_number", power_parity="odd"),
+                   dict(family="apery")):
+        with pytest.raises(ValueError, match="^r must be nonnegative$"):
+            verify(r=-1, p=5, **kwargs)
+
+
+def test_verify_reports_a_raising_right_side(monkeypatch):
+    def raises(q, m):
+        raise NonInvertibleDenominator("boom")
+
+    monkeypatch.setattr(congruence, "rational_to_residue", raises)
+    rep = verify("apery", 2, 7)
+    assert (rep.r, rep.p, rep.e, rep.power, rep.lhs, rep.rhs, rep.passed) == (
+        2, 7, 3, 5, None, None, False)
+    assert rep.error == "NonInvertibleDenominator: boom"
+    with pytest.raises(HypothesisViolation):  # a violated hypothesis still raises
+        verify("apery", 2, 9)
+
+
 def test_verify_hypothesis_violations():
     with pytest.raises(HypothesisViolation):
         verify("apery", 0, 3)
@@ -256,6 +280,14 @@ def test_sweep_rejects_empty_grids():
         sweep("apery", 1, 50, power_parity="even")
 
 
+def test_sweep_requires_integer_z():
+    # verify's hypothesis on z, applied to every z of a sweep: nothing is truncated
+    for zs in ([2.5], [1, 2.0], ["3"], [Fraction(2)]):
+        with pytest.raises(HypothesisViolation, match="needs a nonzero integer z"):
+            sweep("delannoy_poly", 0, 7, z_values=zs)
+    assert {rep.z for rep in sweep("delannoy_poly", 0, 7, z_values=[2, -3])} == {2, -3}
+
+
 def test_sweep_matches_direct_verify():
     # sweep reduces terms once per prime and shares constants; a direct
     # verify call generates its own terms and derives its own constant
@@ -288,11 +320,49 @@ def test_sweep_matches_direct_verify():
 
 
 def test_constants_do_not_depend_on_p():
-    # one derivation, reused across the whole sweep
-    c3 = derive_constant("apery", 3)
-    for p in primes_in_range(5, 80):
-        rep = verify("apery", 3, p, _constant=c3)
-        assert rep.passed
+    # one derivation per r, reused at every prime of the sweep
+    with mock.patch.object(congruence, "derive_constant", wraps=derive_constant) as derive:
+        for p_max in (20, 80):
+            derive.reset_mock()
+            reports = sweep("apery", 3, p_max)
+            assert derive.call_count == 4
+            assert sorted(call.args[1] for call in derive.call_args_list) == [0, 1, 2, 3]
+            assert {rep.p for rep in reports} == set(primes_in_range(5, p_max))
+            assert all(rep.passed for rep in reports)
+
+
+def _definition_terms(family, n, z=None):
+    """F(0) .. F(n-1) summed here from math.comb, sharing no code with the library."""
+    out = []
+    for k in range(n):
+        if family.startswith("apery"):
+            a = sum(math.comb(k, j) ** 2 * math.comb(k + j, j) ** 2 for j in range(k + 1))
+            out.append(-a if family == "apery_signed" and k % 2 else a)
+        else:
+            out.append(sum(math.comb(k, j) * math.comb(k + j, j) * (z or 1) ** j
+                           for j in range(k + 1)))
+    return out
+
+
+def test_sweep_left_sides_match_a_math_comb_oracle():
+    # every lhs of a sweep is the definition sum, whatever way its weights are formed
+    cases = [(family, parity, None) for family, (_, _, parities, takes_z) in RULES.items()
+             if not takes_z for parity in parities]
+    cases += [("delannoy_poly", parity, z) for parity in ("odd", "even") for z in (2, -3)]
+    assert len(cases) == 8
+    r_max, p_max = 6, 60
+    for family, parity, z in cases:
+        e = RULES[family][0]
+        terms = _definition_terms(family, p_max, z)
+        reports = sweep(family, r_max, p_max, z_values=None if z is None else [z],
+                        power_parity=parity)
+        primes = [p for p in primes_in_range(RULES[family][1], p_max) if z is None or z % p]
+        assert len(reports) == (r_max + 1) * len(primes)
+        for rep in reports:
+            m = rep.p ** e
+            power = 2 * rep.r + (1 if parity == "odd" else 2)
+            lhs = sum(pow(2 * k + 1, power, m) * terms[k] for k in range(rep.p)) % m
+            assert (rep.power, rep.lhs, rep.passed) == (power, lhs, True), (family, parity, z)
 
 
 def test_odd_power_sum_zero():

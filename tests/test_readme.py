@@ -1,9 +1,12 @@
-"""The README's library tour runs as written and states true values."""
+"""The README's library tour and its constants and verify lines run as written."""
 
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from partible.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +31,13 @@ def test_readme_python_block_runs():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_readme_constants_and_verify_lines_exit_0(capsys):
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith(("partible constants ", "partible verify "))]
+    assert len(lines) == 6
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
+    capsys.readouterr()
