@@ -292,8 +292,8 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     any prime.  The terms are generated once per z; each prime checks
     every r at once (_cells).  A cell that raises is reported as failed,
     with lhs and rhs None and the exception's class and message as its
-    error.  Raises HypothesisViolation when some z is not a nonzero int,
-    or some z (or the family) has no cell.
+    error.  Raises HypothesisViolation when some z is not a nonzero int
+    or is repeated, or some z (or the family) has no cell.
     """
     rule, parity = _rule(family, power_parity, z_values)
     if r_max < 0:
@@ -303,6 +303,8 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
         zs = list(z_values) if z_values is not None else [1]
         _require(zs, f"{family} needs at least one z")
         _require(all(isinstance(z, int) and z != 0 for z in zs), f"{family} needs a nonzero integer z")
+        for i, z in enumerate(zs):
+            _require(z not in zs[:i], f"{family} got z={z} more than once")
     constants = _constants(family, rule, parity, range(r_max + 1))
 
     reports = []

@@ -15,7 +15,7 @@ class NonInvertibleDenominator(ValueError):
     """The denominator shares a factor with the requested modulus."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:

@@ -13,7 +13,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_to_text
@@ -122,44 +121,16 @@ def profile(L: ShiftOperator) -> ReductionProfile:
     return ReductionProfile(d, tuple(b), indicator, frozenset(integer_roots(indicator)))
 
 
-def _monic_integer_roots(h: list[int]) -> list[int]:
-    """Integer roots of a monic squarefree integer polynomial (low degree first).
-
-    The roots mod the smallest prime p at which all of them are simple are
-    Newton-lifted until p^(2^i) exceeds twice the Cauchy bound; a symmetric
-    residue is kept only if it is a root exactly.
-    """
-    if len(h) == 2:
-        return [-h[0]]
-    dh = [i * c for i, c in enumerate(h)][1:]
-    p = 2
-    while True:
-        if is_prime(p):
-            mod_roots = [r for r in range(p) if _horner(h, r) % p == 0]
-            if all(_horner(dh, r) % p for r in mod_roots):
-                break
-        p += 1
-    bound = 1 + max(abs(c) for c in h[:-1])
-    out = []
-    for r in mod_roots:
-        m = p
-        while m <= 2 * bound:
-            m *= m
-            r = (r - _horner(h, r) * pow(_horner(dh, r), -1, m)) % m
-        y = r - m if 2 * r > m else r
-        if _horner(h, y) == 0:
-            out.append(y)
-    return out
-
-
-def rational_roots(f: Polynomial) -> list:
-    """The distinct roots in Q of a nonzero f, ascending, found without factoring.
+def integer_roots(f: Polynomial) -> set[int]:
+    """Nonnegative integers s with f(s) = 0, found without factoring.
 
     Over Q(z) a root must make f vanish identically in z: the candidates
     are the roots at one specialization z = z0 where f stays nonzero.
-    Over Q the denominators are cleared and zero roots stripped; the monic
-    g(y) = lc^(n-1) f(y/lc) has the integer roots y = lc*x, which are
-    searched in its squarefree part g / gcd(g, g').
+    Over Q the denominators are cleared.  The roots of the squarefree part
+    h mod the smallest prime p at which all of them are simple are
+    Newton-lifted until p^(2^i) exceeds 2(1 + max|h_i|), twice a Cauchy
+    bound as |h_n| >= 1; a symmetric residue is kept only if it is a
+    nonnegative root exactly.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
@@ -171,23 +142,31 @@ def rational_roots(f: Polynomial) -> list:
             except ZeroDivisionError:
                 continue
             if fz:
-                return [r for r in rational_roots(fz) if not f.eval(r)]
-    ints, _ = clear_denominators(f.coeffs)
-    v = next(i for i, c in enumerate(ints) if c)
-    ints = ints[v:]
-    roots = [Fraction(0)] if v else []
-    n, lc = len(ints) - 1, ints[-1]
-    if n:
-        g = tuple(c * lc ** (n - 1 - i) for i, c in enumerate(ints[:-1])) + (1,)
-        if n > 1:
-            g = _exquo(g, _gcd(g, tuple(i * c for i, c in enumerate(g))[1:]))
-        roots += (Fraction(y, lc) for y in _monic_integer_roots(g))
-    return sorted(roots)
-
-
-def integer_roots(f: Polynomial) -> set[int]:
-    """Nonnegative integers s with f(s) = 0 (identically in z over Q(z))."""
-    return {int(r) for r in rational_roots(f) if r.denominator == 1 and r >= 0}
+                return {s for s in integer_roots(fz) if not f.eval(s)}
+    h, _ = clear_denominators(f.coeffs)
+    if len(h) < 3:  # the root -h0/h1; a constant gives -1, no root
+        s, rest = divmod(-h[0], h[-1])
+        return set() if rest or s < 0 else {s}
+    h = _exquo(h, _gcd(h, tuple(i * c for i, c in enumerate(h))[1:]))
+    dh = tuple(i * c for i, c in enumerate(h))[1:]
+    p = 2
+    while True:
+        if is_prime(p):
+            mod_roots = [r for r in range(p) if _horner(h, r) % p == 0]
+            if all(_horner(dh, r) % p for r in mod_roots):
+                break
+        p += 1
+    bound = 2 * (1 + max(map(abs, h)))
+    roots = set()
+    for r in mod_roots:
+        m = p
+        while m <= bound:
+            m *= m
+            r = (r - _horner(h, r) * pow(_horner(dh, r), -1, m)) % m
+        y = r - m if 2 * r > m else r
+        if y >= 0 and _horner(h, y) == 0:
+            roots.add(y)
+    return roots
 
 
 def certificate(L: ShiftOperator, x) -> tuple:

@@ -284,14 +284,15 @@ def test_malformed_operator_json_exits_2(data, tmp_path, capsys):
     ["verify", "--family", "apery", "--r-max", "-1", "--p-max", "50"],
     ["verify", "--family", "apery", "--r-max", "1", "--p-max", "3"],
     ["verify", "--family", "delannoy_poly", "--r-max", "1", "--p-max", "50", "--z", "0"],
+    ["verify", "--family", "delannoy_poly", "--r-max", "0", "--p-max", "7", "--z", "1", "1"],
     ["constants", "--family", "delannoy_poly", "--r-max", "1", "--z", "0"],
     ["constants", "--family", "apery", "--r-max", "-3"],
     ["constants", "--family", "apery", "--r-max", "2", "--z", "7"],
     ["verify", "--family", "apery", "--parity", "even", "--r-max", "2", "--p-max", "40"],
     ["guess", "--terms", "TERMS", "--order", "-1", "--deg", "2"],
     ["guess", "--terms", "TERMS", "--order", "1", "--deg", "-1"],
-], ids=["negative-r-max", "no-admissible-prime", "z-zero", "constants-z-zero", "empty-table",
-        "ignored-z", "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
+], ids=["negative-r-max", "no-admissible-prime", "z-zero", "repeated-z", "constants-z-zero",
+        "empty-table", "ignored-z", "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
 def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
     terms = tmp_path / "terms.json"  # a valid term file, so only the bound is wrong
     terms.write_text(json.dumps([str(t) for t in apery_terms(30)]))
@@ -301,6 +302,8 @@ def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
     assert captured.err.startswith("error: ")
     if "--z" in argv and argv[argv.index("--z") + 1] == "0":
         assert captured.err == "error: delannoy_poly needs a nonzero integer z\n"
+    if argv[-2:] == ["1", "1"]:
+        assert captured.err == "error: delannoy_poly got z=1 more than once\n"
 
 
 def test_console_entry_point():

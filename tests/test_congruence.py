@@ -288,6 +288,12 @@ def test_sweep_requires_integer_z():
     assert {rep.z for rep in sweep("delannoy_poly", 0, 7, z_values=[2, -3])} == {2, -3}
 
 
+def test_sweep_refuses_a_repeated_z():
+    # each cell is checked and counted once
+    with pytest.raises(HypothesisViolation, match="z=1 more than once"):
+        sweep("delannoy_poly", 0, 7, z_values=[1, 3, 1])
+
+
 def test_sweep_matches_direct_verify():
     # sweep reduces terms once per prime and shares constants; a direct
     # verify call generates its own terms and derives its own constant

@@ -13,6 +13,9 @@ from partible.exact import (
     rational_to_residue,
 )
 
+# a strong pseudoprime to the bases 2..37, below 3.3e24 but above their bound 3.18e23
+PSEUDOPRIME = 399165290221 * 798330580441
+
 
 def test_legendre_small_cases():
     assert legendre_symbol(-1, 5) == 1  # 5 = 1 mod 4
@@ -24,7 +27,7 @@ def test_legendre_small_cases():
 
 
 def test_legendre_rejects_non_odd_primes():
-    for bad in (2, 9, 1, 15):
+    for bad in (2, 9, 1, 15, PSEUDOPRIME):
         with pytest.raises(ValueError):
             legendre_symbol(3, bad)
 
@@ -54,9 +57,10 @@ def test_primes_in_range():
 
 
 def test_is_prime_against_sieve():
-    primes = set(primes_in_range(2, 2000))
-    for n in range(2000):
+    primes = set(primes_in_range(2, 20000))
+    for n in range(20000):
         assert is_prime(n) == (n in primes)
+    assert not is_prime(PSEUDOPRIME)
 
 
 def test_rational_to_residue():

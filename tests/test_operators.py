@@ -18,7 +18,6 @@ from partible.operators import (
     operator_from_dict,
     operator_to_dict,
     profile,
-    rational_roots,
     telescope_sum_check,
 )
 from partible.poly import Polynomial
@@ -118,6 +117,8 @@ def test_integer_roots():
     s = Polynomial.variable()
     assert integer_roots((s - 2) * (s + 1)) == {2}
     assert integer_roots((s - 1) * (s - 6) * (3 * s + 2)) == {1, 6}
+    # lifted mod 2^4: 16 passes max|h_i| = 10 but not 2*10, and 10 is -6 in symmetric residues
+    assert integer_roots((s - 10) * (s + 1)) == {10}
     with pytest.raises(ValueError):
         integer_roots(Polynomial())
 
@@ -149,7 +150,10 @@ _QUADRATICS = st.lists(st.tuples(st.integers(1, 9), st.integers(-10 ** 6, 10 ** 
 @example([(2, 3, 1), (-7, 4, 2), (1, 2, 1)], [], 6, 5, False)  # non-monic rational roots
 @example([(_BIG + 7, 1, 1), (-(10 * _BIG - 1), 3, 2)], [(1, 2)], -5, 7, False)  # 30 digits
 @example([(4, 1, 1)], [(1, -1), (3, 2), (1, 5)], 1, 1, True)  # quadratic factors, over Q(z)
-def test_rational_roots_finds_planted_roots(roots, quadratics, lead, den, over_qz):
+# a triple root under the leading coefficient 2*3*5*7*11*13, which every small prime divides
+@example([(6, 1, 3), (17, 30030, 1)], [], 30030, 1, False)
+@example([(0, 3, 3)], [(1, 2)], 2, 1, False)  # 0 as a repeated root
+def test_integer_roots_finds_planted_roots(roots, quadratics, lead, den, over_qz):
     s = Polynomial.variable()
     f = Polynomial.constant(Fraction(lead, den))
     for num, q, mult in roots:
@@ -159,7 +163,6 @@ def test_rational_roots_finds_planted_roots(roots, quadratics, lead, den, over_q
     planted = {Fraction(num, q) for num, q, _ in roots}
     if over_qz:  # the root 1/z is not in Q and must not be reported
         f = f * (Polynomial.constant(Z) * s - 1)
-    assert rational_roots(f) == sorted(planted)
     assert integer_roots(f) == {int(r) for r in planted if r.denominator == 1 and r >= 0}
 
 

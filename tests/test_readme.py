@@ -1,5 +1,6 @@
-"""The README's library tour and its constants and verify lines run as written."""
+"""The README's library tour and its CLI lines run as written, with the output stated."""
 
+import json
 import re
 import shlex
 import subprocess
@@ -41,3 +42,21 @@ def test_readme_constants_and_verify_lines_exit_0(capsys):
     for line in lines:
         assert main(shlex.split(line, comments=True)[1:]) == 0, line
     capsys.readouterr()
+
+
+def test_readme_operator_lines_print_the_stated_json(tmp_path, monkeypatch, capsys):
+    text = README.read_text(encoding="utf-8")
+    heredoc = re.search(r"cat > apery\.json <<'EOF'\n(.*?)EOF\n", text, re.S)
+    (tmp_path / "apery.json").write_text(heredoc.group(1))
+    monkeypatch.chdir(tmp_path)
+    lines = re.findall(r"^(partible (?:profile|gamma|reduce) .*)\n# (.*)$", text, re.M)
+    assert [line.split()[1] for line, _ in lines] == ["profile", "gamma", "reduce"]
+    for line, comment in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        printed = json.loads(capsys.readouterr().out)
+        stated = json.loads(comment.replace("[...]", '"[...]"'))
+        for key, value in stated.items():  # [...] stands for any list
+            if value == "[...]":
+                assert isinstance(printed[key], list), key
+                stated[key] = printed[key]
+        assert printed == stated, line

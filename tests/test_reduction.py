@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from partible import reduction
 from partible.congruence import constant_table
-from partible.operators import ShiftOperator, adjoint_apply, profile, rational_roots
+from partible.operators import ShiftOperator, adjoint_apply, profile
 from partible.poly import Polynomial, parity_support
-from partible.ratfunc import RationalFunction, Z, quotient
+from partible.ratfunc import RationalFunction, Z, clear_denominators, quotient
 from partible.reduction import (
     NotPartible,
     PartibleCertificate,
@@ -180,6 +180,17 @@ def _poly_gcd(f, g):
     return Polynomial(a) * (Fraction(1) / a[-1])
 
 
+def _rational_roots(g):
+    """The distinct roots in Q of g over Q, ascending, by the rational root theorem:
+    with the denominators cleared, a nonzero root is +-a/b, a dividing the lowest
+    nonzero coefficient and b the leading one."""
+    h, _ = clear_denominators(g.coeffs)
+    low, top = next(c for c in h if c), h[-1]
+    candidates = {Fraction(a, b) for a in range(1, abs(low) + 1) if low % a == 0
+                  for b in range(1, abs(top) + 1) if top % b == 0}
+    return sorted(x for x in {0} | candidates | {-x for x in candidates} if not g.eval(x))
+
+
 def _oracle_gamma_candidates(L):
     """The center search by constraint system: every coefficient of k^t of the
     condition, per pair (a_i, a_{J-i}), is a polynomial in gamma; the centers
@@ -205,7 +216,7 @@ def _oracle_gamma_candidates(L):
     if g.degree == 1:
         # over Fraction: g's coefficients may be ints, and int / int is a float
         return [-g.coefficient(0) * (Fraction(1) / g.coefficient(1))]
-    return rational_roots(g) if g.degree > 0 else []
+    return _rational_roots(g) if g.degree > 0 else []
 
 
 _SMALL = st.integers(-3, 3)
