@@ -276,7 +276,7 @@ def verify(family: str, r: int, p: int, z: int | None = None,
     _require(is_prime(p), f"{p} is not prime")
     _require(p >= rule.min_prime, f"{family} requires a prime p >= {rule.min_prime}")
     if rule.takes_z:
-        _require(isinstance(z, int) and z != 0, f"{family} needs a nonzero integer z")
+        _require(type(z) is int and z != 0, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
     terms = builtin(family, z).terms(p)
     (report,) = _cells(family, rule, parity, p, z, terms, _constants(family, rule, parity, [r]))
@@ -302,7 +302,7 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     if rule.takes_z:
         zs = list(z_values) if z_values is not None else [1]
         _require(zs, f"{family} needs at least one z")
-        _require(all(isinstance(z, int) and z != 0 for z in zs), f"{family} needs a nonzero integer z")
+        _require(all(type(z) is int and z != 0 for z in zs), f"{family} needs a nonzero integer z")
         for i, z in enumerate(zs):
             _require(z not in zs[:i], f"{family} got z={z} more than once")
     constants = _constants(family, rule, parity, range(r_max + 1))

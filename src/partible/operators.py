@@ -10,7 +10,6 @@ on.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -105,7 +104,6 @@ def profile(L: ShiftOperator) -> ReductionProfile:
             acc = acc + math.comb(j, ell) * shifted[j]
         b.append(acc)
     d = max(p.degree - ell for ell, p in enumerate(b) if not p.is_zero)
-    d = int(d)
 
     indicator = Polynomial()
     falling = Polynomial.constant(1)
@@ -113,10 +111,7 @@ def profile(L: ShiftOperator) -> ReductionProfile:
     for ell in range(J + 1):
         if ell:
             falling = falling * (s - (ell - 1))
-        if d + ell >= 0:
-            c = b[ell].coefficient(d + ell)
-            if c:
-                indicator = indicator + c * falling
+        indicator = indicator + b[ell].coefficient(d + ell) * falling
     # never zero: some b_l attains degree d+l, and the falling factorials are a basis
     return ReductionProfile(d, tuple(b), indicator, frozenset(integer_roots(indicator)))
 
@@ -124,9 +119,9 @@ def profile(L: ShiftOperator) -> ReductionProfile:
 def integer_roots(f: Polynomial) -> set[int]:
     """Nonnegative integers s with f(s) = 0, found without factoring.
 
-    Over Q(z) a root must make f vanish identically in z: the candidates
-    are the roots at one specialization z = z0 where f stays nonzero.
-    Over Q the denominators are cleared.  The roots of the squarefree part
+    The denominators are cleared.  Over Q(z) a root must make f vanish
+    identically in z, so h is the gcd in Z[s] of the coefficients of each
+    power of z; over Q, h is f cleared.  The roots of the squarefree part
     h mod the smallest prime p at which all of them are simple are
     Newton-lifted until p^(2^i) exceeds 2(1 + max|h_i|), twice a Cauchy
     bound as |h_n| >= 1; a symmetric residue is kept only if it is a
@@ -134,16 +129,11 @@ def integer_roots(f: Polynomial) -> set[int]:
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
-    if any(isinstance(c, RationalFunction) for c in f.coeffs):
-        for z0 in itertools.count(2):
-            try:
-                fz = Polynomial(c.evaluate(z0) if isinstance(c, RationalFunction) else c
-                                for c in f.coeffs)
-            except ZeroDivisionError:
-                continue
-            if fz:
-                return {s for s in integer_roots(fz) if not f.eval(s)}
     h, _ = clear_denominators(f.coeffs)
+    if isinstance(h[-1], RationalFunction):  # a root of every z^i coefficient
+        nums = [c.num for c in h]
+        h = functools.reduce(_gcd, (_trim([n[i] if i < len(n) else 0 for n in nums])
+                                    for i in range(max(map(len, nums)))), ())
     if len(h) < 3:  # the root -h0/h1; a constant gives -1, no root
         s, rest = divmod(-h[0], h[-1])
         return set() if rest or s < 0 else {s}
@@ -152,8 +142,9 @@ def integer_roots(f: Polynomial) -> set[int]:
     p = 2
     while True:
         if is_prime(p):
-            mod_roots = [r for r in range(p) if _horner(h, r) % p == 0]
-            if all(_horner(dh, r) % p for r in mod_roots):
+            hp, dhp = [c % p for c in h], [c % p for c in dh]
+            mod_roots = [r for r in range(p) if _horner(hp, r) % p == 0]
+            if all(_horner(dhp, r) % p for r in mod_roots):
                 break
         p += 1
     bound = 2 * (1 + max(map(abs, h)))

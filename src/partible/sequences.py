@@ -10,12 +10,11 @@ binomial product, not of the sums, whose recurrence is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import floordiv, mul
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
-from .ratfunc import RationalFunction, Z, _horner, _primitive, _trim, clear_denominators
+from .ratfunc import RationalFunction, Z, _horner, _primitive, _trim, clear_denominators, scalar
 
 
 class UnknownFamily(ValueError):
@@ -55,6 +54,7 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     z may be an int or Fraction for concrete values, or the symbol Z for
     terms in Q(z), whose coefficient lists are the rows of binomial_rows.
     """
+    z = scalar(z)
     if z == Z:
         return [RationalFunction(row) for row in binomial_rows(n)]
     return [_horner(row, z) for row in binomial_rows(n)]
@@ -79,7 +79,7 @@ def apery_signed_operator() -> ShiftOperator:
 def delannoy_operator(z=None) -> ShiftOperator:
     """(k+2) sigma^2 - (2k+3)(2z+1) sigma + (k+1); z=None keeps z symbolic."""
     k = Polynomial.variable()
-    zz = Z if z is None else Fraction(z)
+    zz = Z if z is None else scalar(z)
     return ShiftOperator([
         k + 1,
         -(2 * k + 3) * Polynomial.constant(2 * zz + 1),
@@ -180,7 +180,7 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     need = (max_order + 1) * (max_deg + 2) + max_order
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")
-    terms, _ = clear_denominators([Fraction(t) for t in terms])
+    terms, _ = clear_denominators([scalar(t) for t in terms])
     for order in range(max_order + 1):
         for deg in range(max_deg + 1):
             sol = _nullspace_solution(terms, order, deg)

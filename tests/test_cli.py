@@ -1,6 +1,7 @@
 """Command-line surface: JSON outputs, exit codes, round trips."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from partible import congruence
 from partible.cli import main
 from partible.congruence import CongruenceReport
+from partible.exact import primes_in_range
 from partible.operators import operator_from_dict, operator_to_dict, profile
 from partible.poly import PolynomialSyntaxError, parse_polynomial
 from partible.reduction import ReductionResult
@@ -336,6 +338,19 @@ def test_profile_and_gamma_with_30_digit_indicator_constant(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"gamma": f"{(n + 1) // 2}", "candidates": [f"{(n + 1) // 2}"],
                                        "partible": False, "order": 1}
+
+
+def test_profile_with_a_root_search_past_every_prime_below_10000(tmp_path):
+    # the indicator (s - 5)(s - a) with a - 5 the product of the primes below 10^4:
+    # every smaller prime sees a double root, and its residues are tried on h mod p
+    b, a = 5, math.prod(primes_in_range(2, 10 ** 4)) + 5
+    c1, c0 = 1 - a - b, a * b
+    op = tmp_path / "primes.json"
+    op.write_text(json.dumps({"order": 2, "coeffs": [
+        "k^2", f"-2*(k+1)^2 + ({c1})*(k+1)", f"(k+2)^2 - ({c1})*(k+2) + {c0}"], "field": "Q"}))
+    proc = _run_cli(["profile", "--operator", str(op)], timeout=15)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["roots"] == [b, a]
 
 
 def test_constants_with_large_prime_z_reports_unfactored_cofactor():

@@ -22,7 +22,7 @@ from partible.congruence import (
 )
 from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
 from partible.ratfunc import RationalFunction, Z
-from partible.sequences import _FAMILIES, UnknownFamily, delannoy_poly_terms
+from partible.sequences import _FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator
 
 
 def test_derive_constant_worked_values():
@@ -282,10 +282,23 @@ def test_sweep_rejects_empty_grids():
 
 def test_sweep_requires_integer_z():
     # verify's hypothesis on z, applied to every z of a sweep: nothing is truncated
-    for zs in ([2.5], [1, 2.0], ["3"], [Fraction(2)]):
+    for zs in ([2.5], [1, 2.0], ["3"], [Fraction(2)], [True]):
         with pytest.raises(HypothesisViolation, match="needs a nonzero integer z"):
             sweep("delannoy_poly", 0, 7, z_values=zs)
     assert {rep.z for rep in sweep("delannoy_poly", 0, 7, z_values=[2, -3])} == {2, -3}
+
+
+def test_float_z_and_terms_raise_and_bool_z_is_refused():
+    # a float is not read as its binary value, and True is not the integer z = 1
+    for call in (lambda: derive_constant("delannoy_poly", 1, z=0.1),
+                 lambda: constant_table("delannoy_poly", 1, z=0.1),
+                 lambda: delannoy_poly_terms(3, 0.5),
+                 lambda: builtin("delannoy_poly", 0.5),
+                 lambda: guess_annihilator([1, 2, 4, 8, 0.1], 1, 0)):
+        with pytest.raises(TypeError, match="unsupported coefficient type float"):
+            call()
+    with pytest.raises(HypothesisViolation, match="needs a nonzero integer z"):
+        verify("delannoy_poly", 1, 7, z=True)
 
 
 def test_sweep_refuses_a_repeated_z():

@@ -131,6 +131,16 @@ def test_integer_roots_over_qz():
     assert integer_roots(f) == {2}
     # z-dependent root only: z*s - 1 has no root independent of z
     assert integer_roots(zc * s - 1) == set()
+    # every specialisation z0 has the second root z0, which is not a root in Q(z)
+    assert integer_roots((s - 1) * (s - zc)) == {1}
+    # a pole at z = 2
+    assert integer_roots((s - 3) * (s + Polynomial.constant(1 / (Z - 2)))) == {3}
+    # constant in s: the symbolic Delannoy indicator
+    assert integer_roots(Polynomial.constant(-4 * Z)) == set()
+    # coefficients in three powers of z
+    assert integer_roots((s - 5) * (zc ** 2 * s + zc - 1) * (s - 7 * zc)) == {5}
+    f = (s - 2) * (s - 4) * (s - zc - 2) * Polynomial.constant((Z + 1) / (Z - 3))
+    assert integer_roots(f) == {2, 4}
 
 
 _BIG = 10 ** 29  # 30-digit roots
