@@ -67,11 +67,12 @@ _RULES = dict(
 )
 
 
-def _rule(family: str, power_parity: str | None, z=None) -> tuple[_Rule, str]:
-    """The family's rule and the parity to check (its default when None).
+def _rule(family: str, power_parity: str | None, r: int, zs=None, r_name="r") -> tuple[_Rule, str]:
+    """The family's rule and the parity to check (its default when None), after checking the inputs.
 
-    Raises UnknownFamily for a family not in _RULES, and HypothesisViolation
-    for a parity the family does not cover or a z given to a family without one.
+    Raises UnknownFamily for an unknown family and ValueError for r < 0 (named r_name).  Any other
+    fault raises HypothesisViolation: a parity the family lacks, or a list zs given to a family
+    without z, empty, or holding a z that is not a nonzero int or that repeats.
     """
     rule = _RULES.get(family)
     if rule is None:
@@ -79,7 +80,13 @@ def _rule(family: str, power_parity: str | None, z=None) -> tuple[_Rule, str]:
     parity = power_parity or next(iter(rule.parities))
     _require(parity in rule.parities,
              f"{family} congruences cover {' and '.join(rule.parities)} powers, not {parity!r}")
-    _require(z is None or rule.takes_z, f"{family} has no z parameter")
+    _require(zs is None or rule.takes_z, f"{family} has no z parameter")
+    _require(zs != [], f"{family} needs at least one z")
+    if r < 0:
+        raise ValueError(f"{r_name} must be nonnegative")
+    _require(all(type(z) is int and z != 0 for z in zs or ()), f"{family} needs a nonzero integer z")
+    for i, z in enumerate(zs or ()):
+        _require(z not in zs[:i], f"{family} got z={z} more than once")
     return rule, parity
 
 
@@ -90,17 +97,14 @@ def _power(r: int, parity: str) -> int:
 def derive_constant(family: str, r: int, z=None, power_parity: str | None = None):
     """The constant c_r surviving the reduction of (2k+1)^power.
 
-    power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default
-    the family's first parity in _RULES that has a surviving power.  The
-    Apery families keep the coefficient of 2k+1 of the odd power; the
-    delannoy families keep the constant term of the even power.  Their
-    odd power lies entirely in the difference space, and 0 is returned
-    after checking exactly that.
+    power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default the
+    family's first parity in _RULES that has a surviving power.  The Apery
+    families keep the coefficient of 2k+1 of the odd power; the delannoy
+    families keep the constant term of the even power.  Their odd power lies
+    entirely in the difference space, and 0 is returned after checking exactly
+    that.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic in z.
     """
-    rule, parity = _rule(family, power_parity, z)
-    _require(z != 0, f"{family} needs a nonzero integer z")
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    rule, parity = _rule(family, power_parity, r, None if z is None else [z])
     if power_parity is None:
         parity = next(q for q, survivor in rule.parities.items() if survivor is not None)
     survivor = rule.parities[parity]
@@ -176,8 +180,8 @@ def _denominator_content(c) -> int:
 
 
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
+    """derive_constant's c_r for r <= r_max and their denominators' primes, inputs checked first."""
+    _rule(family, None, r_max, None if z is None else [z], "r_max")
     table = ConstantTable(family)
     for r in range(r_max + 1):
         c = derive_constant(family, r, z=z)
@@ -270,13 +274,11 @@ def verify(family: str, r: int, p: int, z: int | None = None,
     a failed cell, as in sweep.  The report's elapsed excludes term
     generation and constant derivation.
     """
-    rule, parity = _rule(family, power_parity, z)
-    if r < 0:
-        raise ValueError("r must be nonnegative")
+    rule, parity = _rule(family, power_parity, r, None if z is None else [z])
     _require(is_prime(p), f"{p} is not prime")
     _require(p >= rule.min_prime, f"{family} requires a prime p >= {rule.min_prime}")
     if rule.takes_z:
-        _require(type(z) is int and z != 0, f"{family} needs a nonzero integer z")
+        _require(z is not None, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
     terms = builtin(family, z).terms(p)
     (report,) = _cells(family, rule, parity, p, z, terms, _constants(family, rule, parity, [r]))
@@ -295,16 +297,9 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     error.  Raises HypothesisViolation when some z is not a nonzero int
     or is repeated, or some z (or the family) has no cell.
     """
-    rule, parity = _rule(family, power_parity, z_values)
-    if r_max < 0:
-        raise ValueError("r_max must be nonnegative")
-    zs = [None]
-    if rule.takes_z:
-        zs = list(z_values) if z_values is not None else [1]
-        _require(zs, f"{family} needs at least one z")
-        _require(all(type(z) is int and z != 0 for z in zs), f"{family} needs a nonzero integer z")
-        for i, z in enumerate(zs):
-            _require(z not in zs[:i], f"{family} got z={z} more than once")
+    zs = None if z_values is None else list(z_values)
+    rule, parity = _rule(family, power_parity, r_max, zs, "r_max")
+    zs = (zs or [1]) if rule.takes_z else [None]
     constants = _constants(family, rule, parity, range(r_max + 1))
 
     reports = []

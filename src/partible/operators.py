@@ -116,16 +116,27 @@ def profile(L: ShiftOperator) -> ReductionProfile:
     return ReductionProfile(d, tuple(b), indicator, frozenset(integer_roots(indicator)))
 
 
+def _gcd_mod(a, b, p: int) -> tuple:
+    """A gcd in GF(p)[s] of two coefficient sequences, lowest degree first; () when both are 0 mod p."""
+    a, b = _trim([c % p for c in a]), _trim([c % p for c in b])
+    while b:
+        while len(a) >= len(b):  # a -= q s^shift b, which cancels the leading term of a
+            q, shift = a[-1] * pow(b[-1], -1, p) % p, len(a) - len(b)
+            a = _trim([*a[:shift], *((x - q * y) % p for x, y in zip(a[shift:], b))])
+        a, b = b, a
+    return a
+
+
 def integer_roots(f: Polynomial) -> set[int]:
     """Nonnegative integers s with f(s) = 0, found without factoring.
 
     The denominators are cleared.  Over Q(z) a root must make f vanish
     identically in z, so h is the gcd in Z[s] of the coefficients of each
     power of z; over Q, h is f cleared.  The roots of the squarefree part
-    h mod the smallest prime p at which all of them are simple are
-    Newton-lifted until p^(2^i) exceeds 2(1 + max|h_i|), twice a Cauchy
-    bound as |h_n| >= 1; a symmetric residue is kept only if it is a
-    nonnegative root exactly.
+    h mod the smallest prime p at which h stays squarefree, so that all of
+    them are simple, are Newton-lifted until p^(2^i) exceeds
+    2(1 + max|h_i|), twice a Cauchy bound as |h_n| >= 1; a symmetric
+    residue is kept only if it is a nonnegative root exactly.
     """
     if f.is_zero:
         raise ValueError("the zero polynomial has every root")
@@ -140,13 +151,10 @@ def integer_roots(f: Polynomial) -> set[int]:
     h = _exquo(h, _gcd(h, tuple(i * c for i, c in enumerate(h))[1:]))
     dh = tuple(i * c for i, c in enumerate(h))[1:]
     p = 2
-    while True:
-        if is_prime(p):
-            hp, dhp = [c % p for c in h], [c % p for c in dh]
-            mod_roots = [r for r in range(p) if _horner(hp, r) % p == 0]
-            if all(_horner(dhp, r) % p for r in mod_roots):
-                break
+    while not is_prime(p) or len(_gcd_mod(h, dh, p)) != 1:  # h mod p is not squarefree
         p += 1
+    hp = [c % p for c in h]
+    mod_roots = [r for r in range(p) if _horner(hp, r) % p == 0]
     bound = 2 * (1 + max(map(abs, h)))
     roots = set()
     for r in mod_roots:
@@ -233,8 +241,6 @@ def operator_from_dict(data: dict) -> ShiftOperator:
         field = data.get("field", "Q")
     except (TypeError, KeyError) as exc:
         raise ValueError(f"operator JSON is missing {exc}") from None
-    if field not in ("Q", "Q(z)"):
-        raise ValueError(f"unknown field {field!r}")
     if type(order) is not int or order < 0:
         raise ValueError(f"operator order must be a nonnegative integer, got {order!r}")
     if (not isinstance(coeffs, list) or len(coeffs) != order + 1

@@ -342,7 +342,7 @@ def test_profile_and_gamma_with_30_digit_indicator_constant(tmp_path):
 
 def test_profile_with_a_root_search_past_every_prime_below_10000(tmp_path):
     # the indicator (s - 5)(s - a) with a - 5 the product of the primes below 10^4:
-    # every smaller prime sees a double root, and its residues are tried on h mod p
+    # every smaller prime sees a double root, so h mod p is squarefree at no smaller prime
     b, a = 5, math.prod(primes_in_range(2, 10 ** 4)) + 5
     c1, c0 = 1 - a - b, a * b
     op = tmp_path / "primes.json"

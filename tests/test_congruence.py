@@ -290,13 +290,16 @@ def test_sweep_requires_integer_z():
 
 def test_float_z_and_terms_raise_and_bool_z_is_refused():
     # a float is not read as its binary value, and True is not the integer z = 1
-    for call in (lambda: derive_constant("delannoy_poly", 1, z=0.1),
-                 lambda: constant_table("delannoy_poly", 1, z=0.1),
-                 lambda: delannoy_poly_terms(3, 0.5),
+    for call in (lambda: delannoy_poly_terms(3, 0.5),
                  lambda: builtin("delannoy_poly", 0.5),
                  lambda: guess_annihilator([1, 2, 4, 8, 0.1], 1, 0)):
         with pytest.raises(TypeError, match="unsupported coefficient type float"):
             call()
+    # the constants refuse such a z as verify and sweep do; Fraction(2) is not the int 2 either
+    for z in (0.1, True, Fraction(1, 2), Fraction(2)):
+        for constants in (derive_constant, constant_table):
+            with pytest.raises(HypothesisViolation, match="needs a nonzero integer z"):
+                constants("delannoy_poly", 1, z=z)
     with pytest.raises(HypothesisViolation, match="needs a nonzero integer z"):
         verify("delannoy_poly", 1, 7, z=True)
 

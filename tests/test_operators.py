@@ -8,6 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from partible import operators
+from partible.exact import primes_in_range
 from partible.operators import (
     InsufficientTerms,
     ShiftOperator,
@@ -176,6 +178,17 @@ def test_integer_roots_finds_planted_roots(roots, quadratics, lead, den, over_qz
     assert integer_roots(f) == {int(r) for r in planted if r.denominator == 1 and r >= 0}
 
 
+def test_integer_roots_skips_primes_without_a_residue_scan(monkeypatch):
+    # a - 5 is divisible by every prime below 2000, so 5 and a are one double root mod each of
+    # them; scanning every residue of every such prime took 279,392 Horner calls
+    a = 5 + math.prod(primes_in_range(2, 2000))
+    calls, horner = [], operators._horner
+    monkeypatch.setattr(operators, "_horner", lambda coeffs, x: calls.append(x) or horner(coeffs, x))
+    s = Polynomial.variable()
+    assert integer_roots((s - 5) * (s - a)) == {5, a}
+    assert len(calls) < 10_000
+
+
 def test_certificate_matches_closed_forms():
     L = apery_operator()
     # generic x: compare against the stated closed forms on several x
@@ -298,6 +311,8 @@ def test_operator_json_roundtrip():
         operator_from_dict({"order": 1, "coeffs": ["1", "0"], "field": "Q"})
     with pytest.raises(ValueError):
         operator_from_dict({"order": 0, "coeffs": ["z"], "field": "Q"})
+    with pytest.raises(ValueError, match="^unknown field 'R'$"):
+        operator_from_dict({"order": 1, "coeffs": ["k", "1"], "field": "R"})
     # declared Q(z), but z cancels from every coefficient: stored, and reported, over Q
     L = operator_from_dict({"order": 1, "coeffs": ["z/z*k + (z+1)/(z+1)", "(z^2 - 1)/(z - 1) - z"],
                             "field": "Q(z)"})
