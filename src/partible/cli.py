@@ -84,9 +84,9 @@ def _r_max(r_max: int) -> int:
 
 #: the largest --p-max of verify: apery_terms(2000) took 4.6 s on a 2-vCPU host, about 8x per doubling
 MAX_P = 5000
-#: the largest --r-max of a constants table symbolic in z: delannoy_poly took 8.2 s at r <= 40
-#: and 43 s at r <= 50 on a 2-vCPU host; tables over Q keep _r_max's exponent-derived bound
-MAX_R_SYMBOLIC = 40
+#: the largest --r-max of a constants table symbolic in z: delannoy_poly took 10.1 s at r <= 160
+#: and 13.0 s at r <= 170 on a 2-vCPU host; tables over Q keep _r_max's exponent-derived bound
+MAX_R_SYMBOLIC = 160
 
 
 def cmd_constants(args) -> int:

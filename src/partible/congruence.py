@@ -19,7 +19,7 @@ from typing import Callable
 
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .ratfunc import RationalFunction
-from .reduction import NotPartible, is_partible, partible_reduce
+from .reduction import NotPartible, is_partible, normal_forms, partible_reduce
 from .sequences import UnknownFamily, binomial_rows, builtin
 
 __all__ = [
@@ -179,12 +179,33 @@ def _denominator_content(c) -> int:
     return Fraction(c).denominator
 
 
+def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) -> dict:
+    """r -> c_r for r <= r_max at the parity, 0 where the sum vanishes: one normal-form pass,
+    audited by partible_reduce at the top power, whose forms keep no power but the survivor."""
+    survivor = rule.parities[parity]
+    if survivor is None:
+        return dict.fromkeys(range(r_max + 1), 0)
+    L = builtin(family, z).annihilator
+    cert = is_partible(L)
+    if cert is None:
+        raise NotPartible(f"{family} operator is not power-partible")
+    top = _power(r_max, parity)
+    forms = normal_forms(top, L, cert)
+    if partible_reduce(top, L, cert).u_coeffs != forms[top]:
+        raise AssertionError(f"normal form of power {top} failed the reduction identity audit")
+    forms = [forms[_power(r, parity)] for r in range(r_max + 1)]
+    stray = set().union(*forms) - {survivor}
+    if stray:
+        raise AssertionError(f"unexpected surviving powers {sorted(stray)}")
+    return {r: form.get(survivor, 0) for r, form in enumerate(forms)}
+
+
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
     """derive_constant's c_r for r <= r_max and their denominators' primes, inputs checked first."""
-    _rule(family, None, r_max, None if z is None else [z], "r_max")
+    rule, _ = _rule(family, None, r_max, None if z is None else [z], "r_max")
+    parity = next(q for q, survivor in rule.parities.items() if survivor is not None)
     table = ConstantTable(family)
-    for r in range(r_max + 1):
-        c = derive_constant(family, r, z=z)
+    for r, c in _table_constants(family, rule, parity, r_max, z).items():
         table.entries[r] = c
         for q in _prime_factors(_denominator_content(c)):
             _add_coprime(table.denominator_support, q)
@@ -217,12 +238,6 @@ class CongruenceReport:
             if value is not None or f.default is not None:
                 out[f.name] = round(value, 6) if f.name == "elapsed" else value
         return out
-
-
-def _constants(family: str, rule: _Rule, parity: str, rs) -> dict:
-    """r -> c_r for each r in rs, with no reference to any prime; 0 where the sum vanishes."""
-    vanishes = rule.parities[parity] is None
-    return {r: 0 if vanishes else derive_constant(family, r, power_parity=parity) for r in rs}
 
 
 def _cells(family, rule: _Rule, parity: str, p: int, z, terms, constants: dict) -> list:
@@ -281,7 +296,8 @@ def verify(family: str, r: int, p: int, z: int | None = None,
         _require(z is not None, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
     terms = builtin(family, z).terms(p)
-    (report,) = _cells(family, rule, parity, p, z, terms, _constants(family, rule, parity, [r]))
+    constant = derive_constant(family, r, power_parity=parity)  # 0 where the sum vanishes
+    (report,) = _cells(family, rule, parity, p, z, terms, {r: constant})
     return report
 
 
@@ -290,17 +306,18 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     """All cells (r <= r_max, admissible p <= p_max[, z]) for one family.
 
     The admissible primes are those from the family's smallest prime up,
-    prime to z.  Constants are derived once per r with no reference to
-    any prime.  The terms are generated once per z; each prime checks
-    every r at once (_cells).  A cell that raises is reported as failed,
-    with lhs and rhs None and the exception's class and message as its
-    error.  Raises HypothesisViolation when some z is not a nonzero int
-    or is repeated, or some z (or the family) has no cell.
+    prime to z.  The constants come from one normal-form pass
+    (_table_constants), with no reference to any prime.  The terms are
+    generated once per z; each prime checks every r at once (_cells).  A
+    cell that raises is reported as failed, with lhs and rhs None and the
+    exception's class and message as its error.  Raises
+    HypothesisViolation when some z is not a nonzero int or is repeated,
+    or some z (or the family) has no cell.
     """
     zs = None if z_values is None else list(z_values)
     rule, parity = _rule(family, power_parity, r_max, zs, "r_max")
     zs = (zs or [1]) if rule.takes_z else [None]
-    constants = _constants(family, rule, parity, range(r_max + 1))
+    constants = _table_constants(family, rule, parity, r_max)
 
     reports = []
     for z in zs:

@@ -81,13 +81,16 @@ def _primitive(a) -> tuple:
 def _gcd(a, b) -> tuple:
     """gcd in Z[z] with a positive leading coefficient; () when both are zero.
 
-    The gcd of the contents times the last nonzero member of the primitive
-    remainder sequence (Collins 1967; Knuth, TAOCP vol. 2, 4.6.1) of the
-    primitive parts.  Each pseudo-division step scales the remainder by
-    lc(b)/g, not lc(b), for g = gcd(lc(b), top).
+    The gcd of the contents and the lesser power of z times the last nonzero
+    member of the primitive remainder sequence (Collins 1967; Knuth, TAOCP
+    vol. 2, 4.6.1) of the rest.  Each pseudo-division step scales the
+    remainder by lc(b)/g, not lc(b), for g = gcd(lc(b), top).
     """
     content = math.gcd(*a, *b)
-    a, b = _primitive(a), _primitive(b)
+    if not a or not b:
+        return _scale(_primitive(a or b), content)
+    va, vb = (next(i for i, c in enumerate(p) if c) for p in (a, b))  # z is prime in Z[z]
+    a, b = _primitive(a[va:]), _primitive(b[vb:])
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -99,13 +102,15 @@ def _gcd(a, b) -> tuple:
             for j, bc in enumerate(b[:-1], i):
                 rem[j] -= c * bc
         a, b = b, _primitive(_trim(rem))
-    return _scale(a if not b else _ONE, content)
+    return (0,) * min(va, vb) + _scale(a if not b else _ONE, content)
 
 
 def _exquo(a, g) -> tuple:
-    """a / g for a divisor g of a in Z[z], by exact long division; g = 1 costs nothing."""
+    """a / g for a divisor g of a in Z[z], by exact long division; g = 1 and z^v | g cost nothing."""
     if g == _ONE:
         return a
+    v = next(i for i, c in enumerate(g) if c)
+    a, g = a[v:], g[v:]
     rem, quo = list(a), [0] * max(len(a) - len(g) + 1, 0)
     for i in range(len(quo) - 1, -1, -1):
         quo[i] = rem.pop() // g[-1]

@@ -17,13 +17,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial
-from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators, quotient
+from .ratfunc import RationalFunction, _add, _mul, _trim, cancel_common, clear_denominators, quotient
 
 
 class NotPartible(ValueError):
@@ -118,21 +119,33 @@ def _cleared(polys) -> tuple[list, object]:
     return [tuple(itertools.islice(it, len(p))) for p in polys], den
 
 
-def _adjoint_images(L: ShiftOperator, center, offset, scale=1):
-    """Yield (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center), j = 0, 1, ...
-
-    That is sum_i a_i(center - i + w/scale) (w/scale + offset - i)^j.  The
-    J+1 polynomials, and the J+1 linear factors, are each brought to one
-    common denominator once, E_0 and e, so E = E_0 e^j.  Each product is
-    multiplied by its factor once per step: O(J (deg L + j)) ring operations.
-    """
+def _image_parts(L: ShiftOperator, center, offset, scale=1) -> tuple:
+    """(T, E_0, f, e) cleared once: T_i/E_0 = a_i(center - i + w/scale), f_i/e = w/scale + offset - i."""
     terms, E = _cleared([a.subst_linear(Fraction(1, scale), center - i).coeffs
                          for i, a in enumerate(L.coeffs)])
     factors, e = _cleared([(offset - i, Fraction(1, scale)) for i in range(len(terms))])
+    return terms, E, factors, e
+
+
+def _adjoint_images(L: ShiftOperator, center, offset, scale=1):
+    """Yield (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center), j = 0, 1, ...
+
+    That is I = sum_i T_i f_i^j and E = E_0 e^j for the parts of
+    _image_parts.  Each product is multiplied by its factor once per step:
+    O(J (deg L + j)) ring operations.
+    """
+    terms, E, factors, e = _image_parts(L, center, offset, scale)
     while True:
         yield functools.reduce(_add, terms), E
         terms = [_mul(term, f) for term, f in zip(terms, factors)]
         E = E * e
+
+
+def _binomial_power(f: tuple, j: int) -> tuple:
+    """(f_0 + f_1 w)^j by the binomial theorem: coefficient t is C(j, t) f_0^(j-t) f_1^t."""
+    low, high = (list(itertools.accumulate([c] * j, operator.mul, initial=1)) for c in f)
+    binomials = itertools.accumulate(range(j), lambda c, t: c * (j - t) // (t + 1), initial=1)
+    return _trim([c * low[j - t] * high[t] for t, c in enumerate(binomials)])
 
 
 # -- symmetry center ---------------------------------------------------------
@@ -217,25 +230,30 @@ def center_scale(gamma) -> int:
 def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
     """The function j -> (I, E), I/E = L*((k - gamma + J/2)^j) in powers of w = beta (k - gamma).
 
-    beta = center_scale(gamma).  The certificate is checked once; a false
-    one raises NotPartible.  Image j is marked audited once it passes
-    I(beta (k - gamma)) beta^j = E L*((beta (k - gamma + J/2))^j), with
-    adjoint_apply an independent path in k; for Apery both sides are the
-    integer polynomials I(2k+1) 2^j and E L*((2k+3)^j).
+    beta = center_scale(gamma).  The certificate is checked once, a false
+    one raising NotPartible, and so are the parts of _image_parts, mapped
+    back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i - gamma + J/2.  Image j is
+    marked audited once it passes I = sum_i T_i f_i^j and E = E_0 e^j, with
+    f_i^j by the binomial theorem, not the builder's repeated products:
+    O(J (deg L + 1) j) ring operations.
     """
     prof = operator_profile(L)
     if (L.order != cert.order or prof.roots or prof.d != cert.d
             or not _mirrored(L, cert.gamma, cert.d)):
         raise NotPartible(f"{L!r} is not power-partible for center {cert.gamma}")
     beta, half = center_scale(cert.gamma), Fraction(cert.order, 2)
+    terms, E0, factors, e = _image_parts(L, cert.gamma, half, beta)
+    for i, (T, f) in enumerate(zip(terms, factors)):
+        back = [Polynomial(p).subst_linear(beta, -beta * cert.gamma) for p in (T, f)]
+        if back != [E0 * L.coeffs[i].shift(-i), e * Polynomial((half - i - cert.gamma, 1))]:
+            raise AssertionError(f"adjoint image part {i} failed exactness audit")
     images = _lazy_list(_adjoint_images(L, cert.gamma, half, beta))
-    lin = Polynomial((beta * (half - cert.gamma), beta))  # beta (k - gamma + J/2)
     audited = set()
 
     def image(j: int) -> tuple[tuple, object]:
         I, E = images(j)
-        if j not in audited and (Polynomial(I).subst_linear(beta, -beta * cert.gamma) * beta ** j
-                                 != E * adjoint_apply(L, lin ** j)):
+        if j not in audited and (E != E0 * e ** j or I != functools.reduce(
+                _add, [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)])):
             raise AssertionError(f"adjoint image {j} failed exactness audit")
         audited.add(j)
         return I, E
@@ -298,3 +316,21 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
         raise AssertionError("reduction identity failed exactness audit")
     return PartibleReduction(m, cert.gamma, beta, u_coeffs, v_coeffs, alphas)
 
+
+def normal_forms(M: int, L: ShiftOperator, cert: PartibleCertificate) -> dict:
+    """m -> N(w^m), the u_coeffs of partible_reduce(m, L, cert), for each m <= M of the parity of M.
+
+    N(w^i) = w^i for i < d.  Image j = m - d has degree m, top entry l and
+    the parity of m, and N maps it to 0, so N(w^m) = -(1/l) sum_{i<m}
+    I_j[i] N(w^i); the forms read are brought to one denominator first.
+    """
+    image, d = adjoint_basis(L, cert), cert.d
+    slots = range(M % 2, max(d, 0), 2)  # the indices i < d of the parity of M
+    rows = [[int(i == m) for i in slots] for m in range(M % 2, min(d, M + 1), 2)]  # N(w^m), m < d
+    for m in range(M % 2 + 2 * len(rows), M + 1, 2):
+        I, _ = image(m - d)
+        nums, D = clear_denominators([c for row in rows for c in row])
+        column = I[M % 2:m:2]  # I_j[i] for the i < m of the parity of m, one per row
+        rows.append([quotient(sum(c * x for c, x in zip(column, nums[t::len(slots)])), -I[m] * D)
+                     for t in range(len(slots))])
+    return {m: {i: c for i, c in zip(slots, row) if c} for m, row in zip(range(M % 2, M + 1, 2), rows)}

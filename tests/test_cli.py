@@ -450,22 +450,22 @@ class _ReductionReached(Exception):
 
 
 def test_symbolic_r_max_is_bounded_before_any_reduction(capsys, monkeypatch):
-    # symbolic delannoy_poly took 8.2 s at r <= 40 and 43 s at r <= 50; tables over Q,
+    # symbolic delannoy_poly took 10.1 s at r <= 160 and 13.0 s at r <= 170; tables over Q,
     # and at a given z, keep the exponent-derived bound
-    def derive(*args, **kwargs):
+    def normal_forms(*args, **kwargs):
         raise _ReductionReached
 
-    monkeypatch.setattr(congruence, "derive_constant", derive)
-    assert main(["constants", "--family", "delannoy_poly", "--r-max", "41"]) == 2
+    monkeypatch.setattr(congruence, "normal_forms", normal_forms)
+    assert main(["constants", "--family", "delannoy_poly", "--r-max", "161"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "--r-max 41 is above 40" in captured.err
-    for argv in (["delannoy_poly", "--r-max", "40"], ["delannoy_poly", "--r-max", "41", "--z", "7"],
-                 ["apery", "--r-max", "41"]):
+    assert captured.err.startswith("error: ") and "--r-max 161 is above 160" in captured.err
+    for argv in (["delannoy_poly", "--r-max", "160"], ["delannoy_poly", "--r-max", "161", "--z", "7"],
+                 ["apery", "--r-max", "161"]):
         with pytest.raises(_ReductionReached):
             main(["constants", "--family", *argv])
-    proc = _run_cli(["constants", "--family", "delannoy_poly", "--r-max", "41", "--json"], timeout=5)
-    assert proc.returncode == 2 and proc.stdout == "" and "above 40" in proc.stderr
+    proc = _run_cli(["constants", "--family", "delannoy_poly", "--r-max", "161", "--json"], timeout=5)
+    assert proc.returncode == 2 and proc.stdout == "" and "above 160" in proc.stderr
 
 
 def test_reduce_on_z_denominators_is_quick(tmp_path):

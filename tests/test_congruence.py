@@ -22,6 +22,7 @@ from partible.congruence import (
 )
 from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
 from partible.ratfunc import RationalFunction, Z
+from partible.reduction import normal_forms
 from partible.sequences import _FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator
 
 
@@ -342,15 +343,36 @@ def test_sweep_matches_direct_verify():
 
 
 def test_constants_do_not_depend_on_p():
-    # one derivation per r, reused at every prime of the sweep
-    with mock.patch.object(congruence, "derive_constant", wraps=derive_constant) as derive:
+    # one normal-form pass per sweep, up to (2k+1)^7 for r <= 3, reused at every prime
+    with mock.patch.object(congruence, "normal_forms", wraps=normal_forms) as forms:
         for p_max in (20, 80):
-            derive.reset_mock()
+            forms.reset_mock()
             reports = sweep("apery", 3, p_max)
-            assert derive.call_count == 4
-            assert sorted(call.args[1] for call in derive.call_args_list) == [0, 1, 2, 3]
+            assert forms.call_count == 1 and forms.call_args.args[0] == 7
             assert {rep.p for rep in reports} == set(primes_in_range(5, p_max))
             assert all(rep.passed for rep in reports)
+
+
+@pytest.mark.parametrize("family, r_max, z", [
+    ("apery", 40, None), ("apery_signed", 40, None), ("delannoy_number", 40, None),
+    ("delannoy_poly", 10, None), ("delannoy_poly", 20, 3), ("delannoy_poly", 20, -7)])
+def test_constant_table_matches_derive_constant_at_every_r(family, r_max, z):
+    # the table's one pass against a separately audited reduction per r
+    table = constant_table(family, r_max, z=z)
+    assert table.entries == {r: derive_constant(family, r, z=z) for r in range(r_max + 1)}
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (lambda forms, top: {top: {i: c + 1 for i, c in forms[top].items()}}, "identity audit"),
+    (lambda forms, top: {top - 2: {**forms[top - 2], 3: 1}}, r"unexpected surviving powers \[3\]")])
+def test_constant_table_audits_its_pass(monkeypatch, tamper, match):
+    def tampered(M, L, cert):
+        forms = normal_forms(M, L, cert)
+        return {**forms, **tamper(forms, M)}
+
+    monkeypatch.setattr(congruence, "normal_forms", tampered)
+    with pytest.raises(AssertionError, match=match):
+        constant_table("apery", 5)
 
 
 def _definition_terms(family, n, z=None):

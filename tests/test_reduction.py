@@ -13,7 +13,7 @@ from partible import reduction
 from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile
 from partible.poly import Polynomial, parity_support
-from partible.ratfunc import RationalFunction, Z, clear_denominators, quotient
+from partible.ratfunc import RationalFunction, Z, _mul, clear_denominators, quotient
 from partible.reduction import (
     NotPartible,
     PartibleCertificate,
@@ -449,18 +449,45 @@ def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
 
 
 def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases):
-    calls = []
+    expand = reduction._binomial_power
+    audits = []
 
-    def counting(L, x):
-        calls.append(x)
-        return adjoint_apply(L, x)
+    def counting(f, j):
+        audits.append(j)
+        return expand(f, j)
 
-    monkeypatch.setattr(reduction, "adjoint_apply", counting)
+    monkeypatch.setattr(reduction, "_binomial_power", counting)
     table = constant_table("apery", 20)
-    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each audited once
-    assert len(calls) == 20 and len(set(calls)) == 20
+    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each audited once:
+    # one binomial expansion per factor f_i, i = 0, 1, 2
+    assert sorted(audits) == sorted(list(range(0, 40, 2)) * 3)
     assert table.entries[20] == constant_table("apery", 20).entries[20]
-    assert len(calls) == 20  # the second table reuses the cached basis
+    assert len(audits) == 60  # the second table reuses the cached basis
+
+
+@pytest.mark.parametrize("part", [0, 2], ids=["T", "f"])
+def test_adjoint_basis_audits_its_parts_once(monkeypatch, fresh_bases, part):
+    # the builder and the image audit both read the parts, so only the parts audit can see this
+    kernel = reduction._image_parts
+
+    def one_wrong_part(L, center, offset, scale=1):
+        parts = list(kernel(L, center, offset, scale))
+        first = parts[part][0]
+        parts[part] = [first[:-1] + (first[-1] + 1,)] + parts[part][1:]
+        return tuple(parts)
+
+    monkeypatch.setattr(reduction, "_image_parts", one_wrong_part)
+    L = apery_operator()
+    with pytest.raises(AssertionError, match="adjoint image part 0 failed exactness audit"):
+        reduction.adjoint_basis(L, is_partible(L))
+
+
+def test_binomial_power_matches_repeated_products():
+    for f in [(2, 1), (0, 1), (-2, 1), (3, -5), (Z + 1, 2 * Z)]:
+        power = (1,)
+        for j in range(12):
+            assert reduction._binomial_power(f, j) == power
+            power = _mul(power, f)
 
 
 # -- the fraction-free loop against the Fraction loop ---------------------------
