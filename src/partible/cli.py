@@ -16,7 +16,7 @@ from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import MAX_EXPONENT, parse_polynomial, poly_to_text
 from .reduction import gamma_candidates, is_partible, reduce
-from .sequences import builtin, guess_annihilator
+from .sequences import guess_annihilator
 
 
 def _load_json(path: str):
@@ -84,15 +84,9 @@ def _r_max(r_max: int) -> int:
 
 #: the largest --p-max of verify: apery_terms(2000) took 4.6 s on a 2-vCPU host, about 8x per doubling
 MAX_P = 5000
-#: the largest --r-max of a constants table symbolic in z: delannoy_poly took 10.1 s at r <= 160
-#: and 13.0 s at r <= 170 on a 2-vCPU host; tables over Q keep _r_max's exponent-derived bound
-MAX_R_SYMBOLIC = 160
 
 
 def cmd_constants(args) -> int:
-    if (args.r_max > MAX_R_SYMBOLIC and args.z is None  # checked before any reduction runs
-            and builtin(args.family).annihilator.field == "Q(z)"):
-        raise ValueError(f"--r-max {args.r_max} is above {MAX_R_SYMBOLIC} for a table symbolic in z")
     table = constant_table(args.family, _r_max(args.r_max), z=args.z)
     support = sorted(table.denominator_support)
     if args.json:

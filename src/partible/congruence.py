@@ -95,28 +95,16 @@ def _power(r: int, parity: str) -> int:
 
 
 def derive_constant(family: str, r: int, z=None, power_parity: str | None = None):
-    """The constant c_r surviving the reduction of (2k+1)^power.
+    """The constant c_r surviving the reduction of (2k+1)^power: entry r of _table_constants.
 
-    power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default the
-    family's first parity in _RULES that has a surviving power.  The Apery
-    families keep the coefficient of 2k+1 of the odd power; the delannoy
-    families keep the constant term of the even power.  Their odd power lies
-    entirely in the difference space, and 0 is returned after checking exactly
-    that.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic in z.
+    power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default the family's first
+    parity in _RULES that has a surviving power.  The Apery families keep the coefficient of
+    2k+1 of the odd power; the delannoy families keep the constant term of the even power.
+    Their odd power lies entirely in the difference space, and 0 is returned, as the table
+    checks.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic
+    in z and r above MAX_R_SYMBOLIC raises ValueError.
     """
-    rule, parity = _rule(family, power_parity, r, None if z is None else [z])
-    if power_parity is None:
-        parity = next(q for q, survivor in rule.parities.items() if survivor is not None)
-    survivor = rule.parities[parity]
-    L = builtin(family, z).annihilator
-    cert = is_partible(L)
-    if cert is None:
-        raise NotPartible(f"{family} operator is not power-partible")
-    red = partible_reduce(_power(r, parity), L, cert)
-    stray = set(red.u_coeffs) - {survivor}
-    if stray:
-        raise AssertionError(f"unexpected surviving powers {sorted(stray)}")
-    return red.u_coeffs.get(survivor, 0)
+    return _constants(family, r, z, power_parity, "r")[r]
 
 
 @dataclass
@@ -179,16 +167,27 @@ def _denominator_content(c) -> int:
     return Fraction(c).denominator
 
 
+#: the largest r of a table symbolic in z: delannoy_poly took 10.1 s at r <= 160 and 13.0 s
+#: at r <= 170 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
+MAX_R_SYMBOLIC = 160
+
+
 def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) -> dict:
-    """r -> c_r for r <= r_max at the parity, 0 where the sum vanishes: one normal-form pass,
-    audited by partible_reduce at the top power, whose forms keep no power but the survivor."""
-    survivor = rule.parities[parity]
-    if survivor is None:
-        return dict.fromkeys(range(r_max + 1), 0)
+    """r -> c_r for r <= r_max at the parity: one normal-form pass, audited by partible_reduce
+    at the top power, whose forms keep no power but the survivor.  A parity with no survivor
+    runs no reduction and reads 0 at every r, once the certificate shows it has no power below d.
+    A table symbolic in z with r_max above MAX_R_SYMBOLIC raises ValueError before the pass."""
     L = builtin(family, z).annihilator
     cert = is_partible(L)
     if cert is None:
         raise NotPartible(f"{family} operator is not power-partible")
+    survivor = rule.parities[parity]
+    if survivor is None:
+        if _power(0, parity) % 2 < cert.d:
+            raise AssertionError(f"{family} keeps {parity} powers below d = {cert.d}")
+        return dict.fromkeys(range(r_max + 1), 0)
+    if r_max > MAX_R_SYMBOLIC and L.field == "Q(z)":
+        raise ValueError(f"r = {r_max} is above {MAX_R_SYMBOLIC}, the largest r of a table symbolic in z")
     top = _power(r_max, parity)
     forms = normal_forms(top, L, cert)
     if partible_reduce(top, L, cert).u_coeffs != forms[top]:
@@ -200,12 +199,18 @@ def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) 
     return {r: form.get(survivor, 0) for r, form in enumerate(forms)}
 
 
+def _constants(family: str, r_max: int, z, power_parity: str | None, r_name: str) -> dict:
+    """_table_constants after _rule's checks, by default at the first parity with a survivor."""
+    rule, parity = _rule(family, power_parity, r_max, None if z is None else [z], r_name)
+    if power_parity is None:
+        parity = next((q for q, survivor in rule.parities.items() if survivor is not None), parity)
+    return _table_constants(family, rule, parity, r_max, z)
+
+
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
     """derive_constant's c_r for r <= r_max and their denominators' primes, inputs checked first."""
-    rule, _ = _rule(family, None, r_max, None if z is None else [z], "r_max")
-    parity = next(q for q, survivor in rule.parities.items() if survivor is not None)
     table = ConstantTable(family)
-    for r, c in _table_constants(family, rule, parity, r_max, z).items():
+    for r, c in _constants(family, r_max, z, None, "r_max").items():
         table.entries[r] = c
         for q in _prime_factors(_denominator_content(c)):
             _add_coprime(table.denominator_support, q)
@@ -240,8 +245,13 @@ class CongruenceReport:
         return out
 
 
+def _at(constants: dict, z) -> dict:
+    """The constants at z, each symbolic c_r(z) evaluated once: its denominator is a power of z."""
+    return {r: c.evaluate(z) if isinstance(c, RationalFunction) else c for r, c in constants.items()}
+
+
 def _cells(family, rule: _Rule, parity: str, p: int, z, terms, constants: dict) -> list:
-    """The reports at the prime p, one per r of constants (consecutive r, ascending).
+    """The reports at the prime p, one per r of constants (consecutive r, ascending, rational c_r).
 
     The first p terms are reduced mod p^e and the unit is computed once.  The
     weighted terms (2k+1)^power F(k) are taken by pow at the first r; each
@@ -265,7 +275,6 @@ def _cells(family, rule: _Rule, parity: str, p: int, z, terms, constants: dict) 
             weighted = [x * s % modulus for x, s in zip(weighted, squares)]
         lhs, error = sum(weighted) % modulus, None
         try:
-            c = c.evaluate(z) if isinstance(c, RationalFunction) else c
             rhs = rational_to_residue(c * unit, modulus).value
         except Exception as exc:  # keep the other cells alive; report this one as failed
             lhs = rhs = None
@@ -285,9 +294,9 @@ def verify(family: str, r: int, p: int, z: int | None = None,
     (_RULES).  power_parity picks power = 2r+1 ("odd") or 2r+2 ("even");
     by default the family's first parity in _RULES.  An odd-power
     Delannoy sum must vanish; the Apery families only have the odd one.
-    A violated hypothesis raises; a right side that raises is reported as
-    a failed cell, as in sweep.  The report's elapsed excludes term
-    generation and constant derivation.
+    c_r is sweep's, symbolic in z and evaluated at z.  A violated hypothesis, or r above
+    MAX_R_SYMBOLIC at a parity reduced over Q(z), raises; a right side that raises is reported
+    as a failed cell, as in sweep.  The report's elapsed excludes term generation and c_r.
     """
     rule, parity = _rule(family, power_parity, r, None if z is None else [z])
     _require(is_prime(p), f"{p} is not prime")
@@ -295,9 +304,9 @@ def verify(family: str, r: int, p: int, z: int | None = None,
     if rule.takes_z:
         _require(z is not None, f"{family} needs a nonzero integer z")
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
+    constants = _table_constants(family, rule, parity, r)
     terms = builtin(family, z).terms(p)
-    constant = derive_constant(family, r, power_parity=parity)  # 0 where the sum vanishes
-    (report,) = _cells(family, rule, parity, p, z, terms, {r: constant})
+    (report,) = _cells(family, rule, parity, p, z, terms, _at({r: constants[r]}, z))
     return report
 
 
@@ -307,12 +316,12 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
 
     The admissible primes are those from the family's smallest prime up,
     prime to z.  The constants come from one normal-form pass
-    (_table_constants), with no reference to any prime.  The terms are
-    generated once per z; each prime checks every r at once (_cells).  A
-    cell that raises is reported as failed, with lhs and rhs None and the
-    exception's class and message as its error.  Raises
+    (_table_constants), with no reference to any prime.  They are evaluated
+    and the terms generated once per z; each prime checks every r at once
+    (_cells).  A cell that raises is reported as failed, with lhs and rhs
+    None and the exception's class and message as its error.  Raises
     HypothesisViolation when some z is not a nonzero int or is repeated,
-    or some z (or the family) has no cell.
+    or some z (or the family) has no cell, and ValueError as the table does.
     """
     zs = None if z_values is None else list(z_values)
     rule, parity = _rule(family, power_parity, r_max, zs, "r_max")
@@ -326,8 +335,9 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
             where = "" if z is None else f" at z={z}"
             raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
         terms = builtin(family, z).terms(max(primes))
+        at_z = _at(constants, z)
         for p in primes:
-            reports += _cells(family, rule, parity, p, z, terms, constants)
+            reports += _cells(family, rule, parity, p, z, terms, at_z)
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))
     return reports
 

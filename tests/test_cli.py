@@ -451,21 +451,32 @@ class _ReductionReached(Exception):
 
 def test_symbolic_r_max_is_bounded_before_any_reduction(capsys, monkeypatch):
     # symbolic delannoy_poly took 10.1 s at r <= 160 and 13.0 s at r <= 170; tables over Q,
-    # and at a given z, keep the exponent-derived bound
+    # at a given z, and at the parity whose sum vanishes keep the exponent-derived bound
     def normal_forms(*args, **kwargs):
         raise _ReductionReached
 
     monkeypatch.setattr(congruence, "normal_forms", normal_forms)
-    assert main(["constants", "--family", "delannoy_poly", "--r-max", "161"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "--r-max 161 is above 160" in captured.err
+    for argv in (["constants", "--family", "delannoy_poly", "--r-max", "161"],
+                 ["verify", "--family", "delannoy_poly", "--parity", "even", "--r-max", "161", "--p-max", "7"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "r = 161 is above 160" in captured.err
+        proc = _run_cli(argv + ["--json"], timeout=5)
+        assert proc.returncode == 2 and proc.stdout == "" and "above 160" in proc.stderr
+    for call in (lambda: congruence.derive_constant("delannoy_poly", 161),
+                 lambda: congruence.constant_table("delannoy_poly", 161),
+                 lambda: congruence.verify("delannoy_poly", 161, 7, z=2, power_parity="even"),
+                 lambda: congruence.sweep("delannoy_poly", 161, 7, power_parity="even")):
+        with pytest.raises(ValueError, match="r = 161 is above 160"):
+            call()
+    # the odd parity of delannoy_poly vanishes and runs no reduction
+    assert main(["verify", "--family", "delannoy_poly", "--r-max", "499", "--p-max", "7", "--json"]) == 0
+    capsys.readouterr()
     for argv in (["delannoy_poly", "--r-max", "160"], ["delannoy_poly", "--r-max", "161", "--z", "7"],
                  ["apery", "--r-max", "161"]):
         with pytest.raises(_ReductionReached):
             main(["constants", "--family", *argv])
-    proc = _run_cli(["constants", "--family", "delannoy_poly", "--r-max", "161", "--json"], timeout=5)
-    assert proc.returncode == 2 and proc.stdout == "" and "above 160" in proc.stderr
 
 
 def test_reduce_on_z_denominators_is_quick(tmp_path):

@@ -1,5 +1,6 @@
 """Constant derivation and exact congruence verification."""
 
+import dataclasses
 import math
 from fractions import Fraction
 from unittest import mock
@@ -13,6 +14,7 @@ from partible.congruence import (
     HypothesisViolation,
     _add_coprime,
     _denominator_content,
+    _power,
     constant_table,
     derive_constant,
     odd_power_sum_zero,
@@ -22,7 +24,7 @@ from partible.congruence import (
 )
 from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
 from partible.ratfunc import RationalFunction, Z
-from partible.reduction import normal_forms
+from partible.reduction import is_partible, normal_forms, partible_reduce
 from partible.sequences import _FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator
 
 
@@ -357,9 +359,35 @@ def test_constants_do_not_depend_on_p():
     ("apery", 40, None), ("apery_signed", 40, None), ("delannoy_number", 40, None),
     ("delannoy_poly", 10, None), ("delannoy_poly", 20, 3), ("delannoy_poly", 20, -7)])
 def test_constant_table_matches_derive_constant_at_every_r(family, r_max, z):
-    # the table's one pass against a separately audited reduction per r
-    table = constant_table(family, r_max, z=z)
-    assert table.entries == {r: derive_constant(family, r, z=z) for r in range(r_max + 1)}
+    # the table's one pass, which derive_constant reads, against a separately audited reduction per r
+    parity, survivor = ("odd", 1) if family.startswith("apery") else ("even", 0)
+    L = builtin(family, z).annihilator
+    cert = is_partible(L)
+    reduced = {r: partible_reduce(_power(r, parity), L, cert).u_coeffs for r in range(r_max + 1)}
+    assert constant_table(family, r_max, z=z).entries == {r: u.get(survivor, 0) for r, u in reduced.items()}
+    assert derive_constant(family, r_max, z=z) == reduced[r_max].get(survivor, 0)
+    if family.startswith("delannoy"):  # the odd powers lie in the difference space
+        for r in range(11):
+            assert partible_reduce(_power(r, "odd"), L, cert).u_coeffs == {}
+            assert derive_constant(family, r, z=z, power_parity="odd") == 0
+
+
+def test_vanishing_parity_is_checked_against_the_certificate(monkeypatch):
+    # apery has d = 3, so its odd powers keep the coefficient of w^1: declaring that sum
+    # vanishing must fail, not return zeros
+    monkeypatch.setitem(_RULES, "apery", dataclasses.replace(_RULES["apery"], parities={"odd": None}))
+    for call in (lambda: constant_table("apery", 2), lambda: sweep("apery", 2, 7),
+                 lambda: derive_constant("apery", 2)):
+        with pytest.raises(AssertionError, match="keeps odd powers below d = 3"):
+            call()
+
+
+def test_sweep_evaluates_each_symbolic_constant_once_per_z():
+    with mock.patch.object(RationalFunction, "evaluate", autospec=True,
+                           side_effect=RationalFunction.evaluate) as evaluate:
+        reports = sweep("delannoy_poly", 3, 60, z_values=[-3, 2, 7], power_parity="even")
+    assert evaluate.call_count == 3 * 4
+    assert all(rep.passed for rep in reports)
 
 
 @pytest.mark.parametrize("tamper, match", [
