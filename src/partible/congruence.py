@@ -167,36 +167,35 @@ def _denominator_content(c) -> int:
     return Fraction(c).denominator
 
 
-#: the largest r of a table symbolic in z: delannoy_poly took 10.1 s at r <= 160 and 13.0 s
-#: at r <= 170 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
+#: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 4.5-5.0 s at r <= 160
+#: and 7.1-7.3 s at r <= 180 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
 MAX_R_SYMBOLIC = 160
 
 
 def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) -> dict:
     """r -> c_r for r <= r_max at the parity: one normal-form pass, audited by partible_reduce
-    at the top power, whose forms keep no power but the survivor.  A parity with no survivor
-    runs no reduction and reads 0 at every r, once the certificate shows it has no power below d.
-    A table symbolic in z with r_max above MAX_R_SYMBOLIC raises ValueError before the pass."""
+    at the top power.  First the certificate must show that the powers below d of the parity are
+    exactly the survivor, else AssertionError; a parity with no survivor then reads 0 at every r
+    and runs no reduction.  A symbolic table with r_max above MAX_R_SYMBOLIC raises ValueError."""
     L = builtin(family, z).annihilator
     cert = is_partible(L)
     if cert is None:
         raise NotPartible(f"{family} operator is not power-partible")
     survivor = rule.parities[parity]
+    below = list(range(_power(0, parity) % 2, max(cert.d, 0), 2))
+    if below != ([] if survivor is None else [survivor]):
+        raise AssertionError(f"{family} keeps {parity} powers below d = {cert.d}: {below}, "
+                             f"against the survivor {survivor}: unexpected surviving powers "
+                             f"{[m for m in below if m != survivor]}")
     if survivor is None:
-        if _power(0, parity) % 2 < cert.d:
-            raise AssertionError(f"{family} keeps {parity} powers below d = {cert.d}")
         return dict.fromkeys(range(r_max + 1), 0)
     if r_max > MAX_R_SYMBOLIC and L.field == "Q(z)":
         raise ValueError(f"r = {r_max} is above {MAX_R_SYMBOLIC}, the largest r of a table symbolic in z")
     top = _power(r_max, parity)
     forms = normal_forms(top, L, cert)
-    if partible_reduce(top, L, cert).u_coeffs != forms[top]:
+    if partible_reduce(top, L, cert).u_coeffs != ({survivor: forms[top]} if forms[top] else {}):
         raise AssertionError(f"normal form of power {top} failed the reduction identity audit")
-    forms = [forms[_power(r, parity)] for r in range(r_max + 1)]
-    stray = set().union(*forms) - {survivor}
-    if stray:
-        raise AssertionError(f"unexpected surviving powers {sorted(stray)}")
-    return {r: form.get(survivor, 0) for r, form in enumerate(forms)}
+    return {r: forms[_power(r, parity)] for r in range(r_max + 1)}
 
 
 def _constants(family: str, r_max: int, z, power_parity: str | None, r_name: str) -> dict:

@@ -233,7 +233,7 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
     beta = center_scale(gamma).  The certificate is checked once, a false
     one raising NotPartible, and so are the parts of _image_parts, mapped
     back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i - gamma + J/2.  Image j is
-    marked audited once it passes I = sum_i T_i f_i^j and E = E_0 e^j, with
+    cached once it passes I = sum_i T_i f_i^j and E = E_0 e^j, with
     f_i^j by the binomial theorem, not the builder's repeated products:
     O(J (deg L + 1) j) ring operations.
     """
@@ -248,14 +248,13 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
         if back != [E0 * L.coeffs[i].shift(-i), e * Polynomial((half - i - cert.gamma, 1))]:
             raise AssertionError(f"adjoint image part {i} failed exactness audit")
     images = _lazy_list(_adjoint_images(L, cert.gamma, half, beta))
-    audited = set()
 
+    @functools.cache
     def image(j: int) -> tuple[tuple, object]:
         I, E = images(j)
-        if j not in audited and (E != E0 * e ** j or I != functools.reduce(
-                _add, [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)])):
+        if E != E0 * e ** j or I != functools.reduce(
+                _add, [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)]):
             raise AssertionError(f"adjoint image {j} failed exactness audit")
-        audited.add(j)
         return I, E
 
     return image
@@ -318,19 +317,21 @@ def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=N
 
 
 def normal_forms(M: int, L: ShiftOperator, cert: PartibleCertificate) -> dict:
-    """m -> N(w^m), the u_coeffs of partible_reduce(m, L, cert), for each m <= M of the parity of M.
+    """m -> c_m for each m <= M of the parity s = M % 2: N(w^m) = c_m w^s is the u_coeffs of
+    partible_reduce(m, L, cert), w^s being the one power below d of that parity (else ValueError).
 
-    N(w^i) = w^i for i < d.  Image j = m - d has degree m, top entry l and
-    the parity of m, and N maps it to 0, so N(w^m) = -(1/l) sum_{i<m}
-    I_j[i] N(w^i); the forms read are brought to one denominator first.
+    c_s = 1, and image j = m - d, of degree m, top entry l and the parity of m, maps to 0 under N,
+    so c_m = -(1/l) sum_{i<m} I_j[i] c_i.  The c_i are numerators over one running denominator D:
+    each step clears its new value with 1/D, which extends D to the lcm and gives the factor that
+    rescales the older numerators, and each c_m is divided out once, at the end.
     """
-    image, d = adjoint_basis(L, cert), cert.d
-    slots = range(M % 2, max(d, 0), 2)  # the indices i < d of the parity of M
-    rows = [[int(i == m) for i in slots] for m in range(M % 2, min(d, M + 1), 2)]  # N(w^m), m < d
-    for m in range(M % 2 + 2 * len(rows), M + 1, 2):
+    image, d, s = adjoint_basis(L, cert), cert.d, M % 2
+    if not s < d <= s + 2:
+        raise ValueError(f"normal_forms keeps one power below d = {d}, not {list(range(s, max(d, 0), 2))}")
+    nums, D = [1], 1
+    for m in range(s + 2, M + 1, 2):
         I, _ = image(m - d)
-        nums, D = clear_denominators([c for row in rows for c in row])
-        column = I[M % 2:m:2]  # I_j[i] for the i < m of the parity of m, one per row
-        rows.append([quotient(sum(c * x for c, x in zip(column, nums[t::len(slots)])), -I[m] * D)
-                     for t in range(len(slots))])
-    return {m: {i: c for i, c in zip(slots, row) if c} for m, row in zip(range(M % 2, M + 1, 2), rows)}
+        new = quotient(sum(c * n for c, n in zip(I[s:m:2], nums)), -I[m] * D)
+        (new, factor), D = clear_denominators([new, quotient(1, D)])
+        nums = [n * factor for n in nums] + [new]
+    return {m: quotient(n, D) for m, n in zip(range(s, M + 1, 2), nums)}

@@ -390,15 +390,21 @@ def test_sweep_evaluates_each_symbolic_constant_once_per_z():
     assert all(rep.passed for rep in reports)
 
 
-@pytest.mark.parametrize("tamper, match", [
-    (lambda forms, top: {top: {i: c + 1 for i, c in forms[top].items()}}, "identity audit"),
-    (lambda forms, top: {top - 2: {**forms[top - 2], 3: 1}}, r"unexpected surviving powers \[3\]")])
-def test_constant_table_audits_its_pass(monkeypatch, tamper, match):
-    def tampered(M, L, cert):
-        forms = normal_forms(M, L, cert)
-        return {**forms, **tamper(forms, M)}
+def _tampered_top(M, L, cert):
+    forms = normal_forms(M, L, cert)
+    return {**forms, M: forms[M] + 1}
 
-    monkeypatch.setattr(congruence, "normal_forms", tampered)
+
+@pytest.mark.parametrize("patch, match", [
+    (lambda monkeypatch: monkeypatch.setattr(congruence, "normal_forms", _tampered_top), "identity audit"),
+    # a certificate of d = 5 keeps w^1 and w^3 below d at the odd powers, against the one survivor 1
+    (lambda monkeypatch: monkeypatch.setattr(congruence, "is_partible", lambda L: dataclasses.replace(
+        is_partible(L), d=5)), r"unexpected surviving powers \[3\]"),
+    # apery's odd powers keep w^1 below d = 3, so a survivor w^3 is refused before any pass
+    (lambda monkeypatch: monkeypatch.setitem(
+        _RULES, "apery", dataclasses.replace(_RULES["apery"], parities={"odd": 3})), r"below d = 3: \[1\]")])
+def test_constant_table_audits_its_pass(monkeypatch, patch, match):
+    patch(monkeypatch)
     with pytest.raises(AssertionError, match=match):
         constant_table("apery", 5)
 

@@ -21,10 +21,11 @@ from partible.reduction import (
     find_gamma,
     gamma_candidates,
     is_partible,
+    normal_forms,
     partible_reduce,
     reduce,
 )
-from partible.sequences import apery_operator, apery_signed_operator, delannoy_operator
+from partible.sequences import apery_operator, apery_signed_operator, builtin, delannoy_operator
 
 K = Polynomial.variable()
 HALF = Fraction(-1, 2)
@@ -463,6 +464,29 @@ def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases)
     assert sorted(audits) == sorted(list(range(0, 40, 2)) * 3)
     assert table.entries[20] == constant_table("apery", 20).entries[20]
     assert len(audits) == 60  # the second table reuses the cached basis
+
+
+def test_normal_forms_refuse_a_parity_with_two_powers_below_d():
+    L = apery_operator()  # d = 3: the even powers keep both w^0 and w^2
+    with pytest.raises(ValueError, match=r"\[0, 2\]"):
+        normal_forms(4, L, is_partible(L))
+
+
+@pytest.mark.parametrize("family, M", [("apery", 41), ("delannoy_poly", 22)])
+def test_normal_forms_clear_each_coefficient_once(monkeypatch, family, M):
+    # one running denominator: each step clears its new coefficient and 1/D, never the earlier ones
+    L = builtin(family).annihilator
+    cert = is_partible(L)
+    expected = normal_forms(M, L, cert)  # builds and audits the images first
+    sizes = []
+
+    def counting(values):
+        sizes.append(len(values))
+        return clear_denominators(values)
+
+    monkeypatch.setattr(reduction, "clear_denominators", counting)
+    assert normal_forms(M, L, cert) == expected
+    assert sizes == [2] * (M // 2)
 
 
 @pytest.mark.parametrize("part", [0, 2], ids=["T", "f"])
