@@ -207,14 +207,14 @@ def _constants(family: str, r_max: int, z, power_parity: str | None, r_name: str
 
 
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
-    """derive_constant's c_r for r <= r_max and their denominators' primes, inputs checked first."""
-    table = ConstantTable(family)
-    for r, c in _constants(family, r_max, z, None, "r_max").items():
-        table.entries[r] = c
-        for q in _prime_factors(_denominator_content(c)):
-            _add_coprime(table.denominator_support, q)
-        if isinstance(c, RationalFunction) and len(c.den) > 1:
-            table.z_in_denominator = True
+    """derive_constant's c_r for r <= r_max, inputs checked first, and their denominators' support:
+    the primes below _TRIAL_LIMIT are found once, in the lcm, then each denominator refines it."""
+    table = ConstantTable(family, _constants(family, r_max, z, None, "r_max"))
+    dens = [_denominator_content(c) for c in table.entries.values()]
+    for n in [*_prime_factors(math.lcm(*dens)), *dens]:
+        _add_coprime(table.denominator_support, n)
+    table.z_in_denominator = any(isinstance(c, RationalFunction) and len(c.den) > 1
+                                 for c in table.entries.values())
     return table
 
 

@@ -132,7 +132,8 @@ def integer_roots(f: Polynomial) -> set[int]:
 
     The denominators are cleared.  Over Q(z) a root must make f vanish
     identically in z, so h is the gcd in Z[s] of the coefficients of each
-    power of z; over Q, h is f cleared.  The roots of the squarefree part
+    power of z; over Q, h is f cleared.  A nonzero constant h has no root.
+    For every other degree, linear ones too, the roots of the squarefree part
     h mod the smallest prime p at which h stays squarefree, so that all of
     them are simple, are Newton-lifted until p^(2^i) exceeds
     2(1 + max|h_i|), twice a Cauchy bound as |h_n| >= 1; a symmetric
@@ -145,9 +146,8 @@ def integer_roots(f: Polynomial) -> set[int]:
         nums = [c.num for c in h]
         h = functools.reduce(_gcd, (_trim([n[i] if i < len(n) else 0 for n in nums])
                                     for i in range(max(map(len, nums)))), ())
-    if len(h) < 3:  # the root -h0/h1; a constant gives -1, no root
-        s, rest = divmod(-h[0], h[-1])
-        return set() if rest or s < 0 else {s}
+    if len(h) < 2:  # a nonzero constant
+        return set()
     h = _exquo(h, _gcd(h, tuple(i * c for i, c in enumerate(h))[1:]))
     dh = tuple(i * c for i, c in enumerate(h))[1:]
     p = 2

@@ -24,7 +24,7 @@ from fractions import Fraction
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial
-from .ratfunc import RationalFunction, _add, _mul, _trim, cancel_common, clear_denominators, quotient
+from .ratfunc import RationalFunction, _add, _mul, _pow, _trim, cancel_common, clear_denominators, quotient
 
 
 class NotPartible(ValueError):
@@ -50,13 +50,13 @@ class ReductionResult:
 def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     """Split Q into adjoint image, exceptional monomials and remainder.
 
-    _back_substitute against the monomial images L*(k^s), skipping the
-    indicator roots s, where L*(k^s) falls short of degree d+s; for
-    d <= 0 the remainder is zero.
+    _back_substitute against the monomial images L*(k^s), every s in one
+    run, skipping the indicator roots s, where L*(k^s) falls short of
+    degree d+s; for d <= 0 the remainder is zero.
     """
     prof = operator_profile(L)
     steps, exceptional, remainder = _back_substitute(
-        *clear_denominators(Q.coeffs), prof.d, _lazy_list(_adjoint_images(L, 0, 0)), skip=prof.roots)
+        *clear_denominators(Q.coeffs), prof.d, _adjoint_images(L, 0, 0, step=1), skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(Q.coeffs) - prof.d)])
     return ReductionResult(x, exceptional, Polynomial(remainder))
 
@@ -100,18 +100,6 @@ def _back_substitute(rem: list, den, d: int, image, skip=frozenset()) -> tuple[d
     return steps, moved, [quotient(r, den) for r in rem]
 
 
-def _lazy_list(items):
-    """The function j -> item j of the iterator items, each item drawn once and kept."""
-    drawn: list = []
-
-    def item(j: int):
-        while len(drawn) <= j:
-            drawn.append(next(items))
-        return drawn[j]
-
-    return item
-
-
 def _cleared(polys) -> tuple[list, object]:
     """The coefficient tuples polys over their one common denominator, and that denominator."""
     nums, den = clear_denominators([c for p in polys for c in p])
@@ -127,18 +115,30 @@ def _image_parts(L: ShiftOperator, center, offset, scale=1) -> tuple:
     return terms, E, factors, e
 
 
-def _adjoint_images(L: ShiftOperator, center, offset, scale=1):
-    """Yield (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center), j = 0, 1, ...
+def _adjoint_images(L: ShiftOperator, center, offset, scale=1, step=1):
+    """The function j -> (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center).
 
-    That is I = sum_i T_i f_i^j and E = E_0 e^j for the parts of
-    _image_parts.  Each product is multiplied by its factor once per step:
-    O(J (deg L + j)) ring operations.
+    That is I = sum_i T_i f_i^j and E = E_0 e^j for the parts of _image_parts.  Each class c of j
+    mod step is a run of its own from j = c, stepped by f_i^step and e^step once per image up to
+    the j asked for, and each image is kept: O(J (deg L + j)) ring operations per image.
     """
-    terms, E, factors, e = _image_parts(L, center, offset, scale)
-    while True:
-        yield functools.reduce(_add, terms), E
-        terms = [_mul(term, f) for term, f in zip(terms, factors)]
-        E = E * e
+    terms, E0, factors, e = _image_parts(L, center, offset, scale)
+    powers = [_pow(f, step) for f in factors]
+
+    def run(j):
+        products, E = [_mul(T, _pow(f, j)) for T, f in zip(terms, factors)], E0 * e ** j
+        while True:
+            yield j, (functools.reduce(_add, products), E)
+            j, products, E = j + step, [_mul(p, f) for p, f in zip(products, powers)], E * e ** step
+
+    runs, images = [run(c) for c in range(step)], {}
+
+    def image(j: int) -> tuple:
+        while j not in images:
+            images.update([next(runs[j % step])])
+        return images[j]
+
+    return image
 
 
 def _binomial_power(f: tuple, j: int) -> tuple:
@@ -230,11 +230,11 @@ def center_scale(gamma) -> int:
 def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
     """The function j -> (I, E), I/E = L*((k - gamma + J/2)^j) in powers of w = beta (k - gamma).
 
-    beta = center_scale(gamma).  The certificate is checked once, a false
-    one raising NotPartible, and so are the parts of _image_parts, mapped
-    back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i - gamma + J/2.  Image j is
-    cached once it passes I = sum_i T_i f_i^j and E = E_0 e^j, with
-    f_i^j by the binomial theorem, not the builder's repeated products:
+    beta = center_scale(gamma).  The certificate is checked once, a false one raising NotPartible,
+    and so are the parts of _image_parts, mapped back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i -
+    gamma + J/2.  The images are built one parity of j at a time (step 2), as every reader takes
+    j = m - d for the powers m of one parity.  Image j is cached once it passes I = sum_i T_i f_i^j
+    and E = E_0 e^j, with f_i^j by the binomial theorem, not the builder's stepped products:
     O(J (deg L + 1) j) ring operations.
     """
     prof = operator_profile(L)
@@ -247,7 +247,7 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
         back = [Polynomial(p).subst_linear(beta, -beta * cert.gamma) for p in (T, f)]
         if back != [E0 * L.coeffs[i].shift(-i), e * Polynomial((half - i - cert.gamma, 1))]:
             raise AssertionError(f"adjoint image part {i} failed exactness audit")
-    images = _lazy_list(_adjoint_images(L, cert.gamma, half, beta))
+    images = _adjoint_images(L, cert.gamma, half, beta, step=2)
 
     @functools.cache
     def image(j: int) -> tuple[tuple, object]:
@@ -321,9 +321,9 @@ def normal_forms(M: int, L: ShiftOperator, cert: PartibleCertificate) -> dict:
     partible_reduce(m, L, cert), w^s being the one power below d of that parity (else ValueError).
 
     c_s = 1, and image j = m - d, of degree m, top entry l and the parity of m, maps to 0 under N,
-    so c_m = -(1/l) sum_{i<m} I_j[i] c_i.  The c_i are numerators over one running denominator D:
-    each step clears its new value with 1/D, which extends D to the lcm and gives the factor that
-    rescales the older numerators, and each c_m is divided out once, at the end.
+    so c_m = -(1/l) sum_{i<m} I_j[i] c_i.  The c_i are numerators n_i over one denominator D; each
+    step is _back_substitute's fraction-free cancel, (a, b) = cancel_common(-l, sum I_j[i] n_i), so
+    c_m = b/(a D), n_i <- a n_i and D <- a D.  Each c_m is divided out once, at the end.
     """
     image, d, s = adjoint_basis(L, cert), cert.d, M % 2
     if not s < d <= s + 2:
@@ -331,7 +331,6 @@ def normal_forms(M: int, L: ShiftOperator, cert: PartibleCertificate) -> dict:
     nums, D = [1], 1
     for m in range(s + 2, M + 1, 2):
         I, _ = image(m - d)
-        new = quotient(sum(c * n for c, n in zip(I[s:m:2], nums)), -I[m] * D)
-        (new, factor), D = clear_denominators([new, quotient(1, D)])
-        nums = [n * factor for n in nums] + [new]
+        a, b = cancel_common(-I[m], sum(c * n for c, n in zip(I[s:m:2], nums)))
+        nums, D = [a * n for n in nums] + [b], a * D
     return {m: quotient(n, D) for m, n in zip(range(s, M + 1, 2), nums)}

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -15,6 +16,7 @@ from partible.congruence import (
     _add_coprime,
     _denominator_content,
     _power,
+    _prime_factors,
     constant_table,
     derive_constant,
     odd_power_sum_zero,
@@ -109,6 +111,34 @@ def test_add_coprime_splits_shared_factors():
     for n in (p * q, q * r, p ** 3, r):
         _add_coprime(support, n)
     assert support == {p, q, r}
+
+
+def _per_entry_support(dens) -> set:
+    """Each denominator trial-divided on its own, then added prime by prime."""
+    support = set()
+    for n in dens:
+        for q in _prime_factors(n):
+            _add_coprime(support, q)
+    return support
+
+
+def test_denominator_support_matches_the_per_entry_search(monkeypatch):
+    rng = random.Random(28)
+    small = [2, 3, 5, 7, 97, 9973]
+    large = [10007, 10009, 99991, 1000003, 998244353, 10 ** 9 + 7, 100000000000000000039]
+    for _ in range(60):
+        dens = []
+        for _ in range(rng.randint(1, 6)):
+            n = math.prod(rng.choices(small, k=rng.randint(0, 4)))
+            kind = rng.randrange(3)  # small primes only, a large prime power, two large primes
+            if kind == 1:
+                n *= rng.choice(large) ** rng.randint(1, 3)
+            elif kind == 2:
+                n *= math.prod(rng.sample(large, 2))
+            dens.append(n)
+        entries = {r: Fraction(1, n) for r, n in enumerate(dens)}
+        monkeypatch.setattr(congruence, "_constants", lambda *args: entries)
+        assert constant_table("apery", len(dens) - 1).denominator_support == _per_entry_support(dens)
 
 
 def _integral_at(table, p):

@@ -121,6 +121,11 @@ def test_integer_roots():
     assert integer_roots((s - 1) * (s - 6) * (3 * s + 2)) == {1, 6}
     # lifted mod 2^4: 16 passes max|h_i| = 10 but not 2*10, and 10 is -6 in symmetric residues
     assert integer_roots((s - 10) * (s + 1)) == {10}
+    # a linear h takes the same path: the root 0, a 30-digit root, a negative and a non-integral root
+    assert integer_roots(7 * s) == {0}
+    assert integer_roots(3 * s - 3 * (10 ** 29 + 7)) == {10 ** 29 + 7}
+    assert integer_roots(s + 5) == set()
+    assert integer_roots(2 * s - 5) == set()
     with pytest.raises(ValueError):
         integer_roots(Polynomial())
 

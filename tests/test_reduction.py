@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -98,9 +99,14 @@ def test_reduce_over_symbolic_coefficients():
 def test_reduce_rejects_an_image_of_the_wrong_degree(monkeypatch):
     kernel = reduction._adjoint_images
 
-    def one_short_image(L, center, offset, scale=1):
-        for j, (I, E) in enumerate(kernel(L, center, offset, scale)):
-            yield (I[:-1], E) if j == 2 else (I, E)
+    def one_short_image(L, center, offset, scale=1, step=1):
+        image = kernel(L, center, offset, scale, step)
+
+        def tampered(j):
+            I, E = image(j)
+            return (I[:-1], E) if j == 2 else (I, E)
+
+        return tampered
 
     monkeypatch.setattr(reduction, "_adjoint_images", one_short_image)
     L = apery_operator()
@@ -426,7 +432,10 @@ def test_partible_reduce_over_symbolic_field():
 
 @pytest.fixture
 def fresh_bases():
-    """Empty the shared basis cache before and after, so no patched basis leaks."""
+    """Empty the shared basis cache before and after, so no patched basis leaks.
+
+    It is the one cache that keeps adjoint images: reduce builds its own per call.
+    """
     reduction.adjoint_basis.cache_clear()
     yield
     reduction.adjoint_basis.cache_clear()
@@ -435,9 +444,14 @@ def fresh_bases():
 def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
     kernel = reduction._adjoint_images
 
-    def one_wrong_image(L, center, offset, scale=1):
-        for j, (I, E) in enumerate(kernel(L, center, offset, scale)):
-            yield (I[:2] + (I[2] + E,) + I[3:], E) if j == 2 else (I, E)  # image + w^2
+    def one_wrong_image(L, center, offset, scale=1, step=1):
+        image = kernel(L, center, offset, scale, step)
+
+        def tampered(j):
+            I, E = image(j)
+            return (I[:2] + (I[2] + E,) + I[3:], E) if j == 2 else (I, E)  # image + w^2
+
+        return tampered
 
     monkeypatch.setattr(reduction, "_adjoint_images", one_wrong_image)
     L = apery_operator()
@@ -472,21 +486,26 @@ def test_normal_forms_refuse_a_parity_with_two_powers_below_d():
         normal_forms(4, L, is_partible(L))
 
 
-@pytest.mark.parametrize("family, M", [("apery", 41), ("delannoy_poly", 22)])
-def test_normal_forms_clear_each_coefficient_once(monkeypatch, family, M):
-    # one running denominator: each step clears its new coefficient and 1/D, never the earlier ones
+@pytest.mark.parametrize("family, M, divisions", [("apery", 41, 21), ("delannoy_poly", 22, 12)])
+def test_normal_forms_cancel_without_clearing(monkeypatch, family, M, divisions):
+    # each step is one cancel_common; each c_m is divided out once, at the end, and nothing is cleared
     L = builtin(family).annihilator
     cert = is_partible(L)
     expected = normal_forms(M, L, cert)  # builds and audits the images first
-    sizes = []
-
-    def counting(values):
-        sizes.append(len(values))
-        return clear_denominators(values)
-
-    monkeypatch.setattr(reduction, "clear_denominators", counting)
+    divided, cleared = (mock.Mock(wraps=kernel) for kernel in (quotient, clear_denominators))
+    monkeypatch.setattr(reduction, "quotient", divided)
+    monkeypatch.setattr(reduction, "clear_denominators", cleared)
     assert normal_forms(M, L, cert) == expected
-    assert sizes == [2] * (M // 2)
+    assert (divided.call_count, cleared.call_count) == (divisions, 0)
+
+
+def test_constant_table_builds_only_the_parity_it_reads(monkeypatch, fresh_bases):
+    added = mock.Mock(wraps=reduction._add)
+    monkeypatch.setattr(reduction, "_add", added)
+    constant_table("apery", 20)
+    # images j = 0, 2, ..., 38: 20 built and 20 audited, each a sum of J + 1 = 3 products;
+    # a builder drawing every j up to 38 would build 39
+    assert added.call_count == (20 + 20) * 2
 
 
 @pytest.mark.parametrize("part", [0, 2], ids=["T", "f"])
