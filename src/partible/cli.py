@@ -85,6 +85,10 @@ def _r_max(r_max: int) -> int:
 #: the largest --p-max of verify: apery_terms(2000) took 4.6 s on a 2-vCPU host, about 8x per doubling
 MAX_P = 5000
 
+#: the most bits of a verify --z: delannoy_poly_terms(1000, z) took 0.42 s at z = 9, 1.2 s at a 32-bit
+#: z, 2.5 s at 65 bits and 6.5 s at 133 bits on a 2-vCPU host, each summand a power of z
+MAX_Z_BITS = 32
+
 
 def cmd_constants(args) -> int:
     table = constant_table(args.family, _r_max(args.r_max), z=args.z)
@@ -111,6 +115,9 @@ def cmd_constants(args) -> int:
 def cmd_verify(args) -> int:
     if args.p_max > MAX_P:  # before the sieve allocates p_max + 1 bytes
         raise ValueError(f"--p-max {args.p_max} is above {MAX_P}")
+    bits = max((z.bit_length() for z in args.z or ()), default=0)
+    if bits > MAX_Z_BITS:  # before any term is built
+        raise ValueError(f"a --z of {bits} bits is above {MAX_Z_BITS} bits")
     reports = sweep(args.family, _r_max(args.r_max), args.p_max, z_values=args.z,
                     power_parity=args.parity)
     for report in reports:

@@ -167,8 +167,8 @@ def _denominator_content(c) -> int:
     return Fraction(c).denominator
 
 
-#: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 4.5-5.0 s at r <= 160
-#: and 7.1-7.3 s at r <= 180 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
+#: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 3.8-4.9 s at r <= 160
+#: and 5.2-7.9 s at r <= 180 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
 MAX_R_SYMBOLIC = 160
 
 

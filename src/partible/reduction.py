@@ -24,7 +24,7 @@ from fractions import Fraction
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial
-from .ratfunc import RationalFunction, _add, _mul, _pow, _trim, cancel_common, clear_denominators, quotient
+from .ratfunc import RationalFunction, _add, _mul, _trim, cancel_common, clear_denominators, quotient
 
 
 class NotPartible(ValueError):
@@ -50,13 +50,14 @@ class ReductionResult:
 def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     """Split Q into adjoint image, exceptional monomials and remainder.
 
-    _back_substitute against the monomial images L*(k^s), every s in one
-    run, skipping the indicator roots s, where L*(k^s) falls short of
-    degree d+s; for d <= 0 the remainder is zero.
+    _back_substitute against the monomial images L*(k^s), s <= deg Q - d,
+    skipping the indicator roots s, where L*(k^s) falls short of degree
+    d+s; for d <= 0 the remainder is zero.
     """
     prof = operator_profile(L)
+    images = _monomial_images(L, len(Q.coeffs) - 1 - prof.d)
     steps, exceptional, remainder = _back_substitute(
-        *clear_denominators(Q.coeffs), prof.d, _adjoint_images(L, 0, 0, step=1), skip=prof.roots)
+        *clear_denominators(Q.coeffs), prof.d, images.__getitem__, skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(Q.coeffs) - prof.d)])
     return ReductionResult(x, exceptional, Polynomial(remainder))
 
@@ -115,30 +116,13 @@ def _image_parts(L: ShiftOperator, center, offset, scale=1) -> tuple:
     return terms, E, factors, e
 
 
-def _adjoint_images(L: ShiftOperator, center, offset, scale=1, step=1):
-    """The function j -> (I, E), I/E = L*((k - center + offset)^j) in powers of w = scale (k - center).
-
-    That is I = sum_i T_i f_i^j and E = E_0 e^j for the parts of _image_parts.  Each class c of j
-    mod step is a run of its own from j = c, stepped by f_i^step and e^step once per image up to
-    the j asked for, and each image is kept: O(J (deg L + j)) ring operations per image.
-    """
-    terms, E0, factors, e = _image_parts(L, center, offset, scale)
-    powers = [_pow(f, step) for f in factors]
-
-    def run(j):
-        products, E = [_mul(T, _pow(f, j)) for T, f in zip(terms, factors)], E0 * e ** j
-        while True:
-            yield j, (functools.reduce(_add, products), E)
-            j, products, E = j + step, [_mul(p, f) for p, f in zip(products, powers)], E * e ** step
-
-    runs, images = [run(c) for c in range(step)], {}
-
-    def image(j: int) -> tuple:
-        while j not in images:
-            images.update([next(runs[j % step])])
-        return images[j]
-
-    return image
+def _monomial_images(L: ShiftOperator, top: int) -> list:
+    """[(I, E_0)] for j <= top, I/E_0 = L*(k^j): I = sum_i T_i f_i^j for the parts of _image_parts
+    at center 0, where f_i = k - i and e = 1, each T_i stepped by f_i once per image."""
+    terms, E0, factors, _ = _image_parts(L, 0, 0)
+    runs = itertools.accumulate(range(top), lambda products, _: list(map(_mul, products, factors)),
+                                initial=terms)
+    return [(functools.reduce(_add, products), E0) for products in runs]
 
 
 def _binomial_power(f: tuple, j: int) -> tuple:
@@ -232,10 +216,9 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
 
     beta = center_scale(gamma).  The certificate is checked once, a false one raising NotPartible,
     and so are the parts of _image_parts, mapped back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i -
-    gamma + J/2.  The images are built one parity of j at a time (step 2), as every reader takes
-    j = m - d for the powers m of one parity.  Image j is cached once it passes I = sum_i T_i f_i^j
-    and E = E_0 e^j, with f_i^j by the binomial theorem, not the builder's stepped products:
-    O(J (deg L + 1) j) ring operations.
+    gamma + J/2.  Then I = sum_i T_i f_i^j and E = E_0 e^j, with f_i^j by the binomial theorem,
+    so the parts audit proves each image exact: O(J (deg L + 1) j) ring operations per image,
+    built when first asked for and cached, so a reader of one parity of j builds only that parity.
     """
     prof = operator_profile(L)
     if (L.order != cert.order or prof.roots or prof.d != cert.d
@@ -247,15 +230,11 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
         back = [Polynomial(p).subst_linear(beta, -beta * cert.gamma) for p in (T, f)]
         if back != [E0 * L.coeffs[i].shift(-i), e * Polynomial((half - i - cert.gamma, 1))]:
             raise AssertionError(f"adjoint image part {i} failed exactness audit")
-    images = _adjoint_images(L, cert.gamma, half, beta, step=2)
 
     @functools.cache
     def image(j: int) -> tuple[tuple, object]:
-        I, E = images(j)
-        if E != E0 * e ** j or I != functools.reduce(
-                _add, [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)]):
-            raise AssertionError(f"adjoint image {j} failed exactness audit")
-        return I, E
+        products = [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)]
+        return functools.reduce(_add, products), E0 * e ** j
 
     return image
 

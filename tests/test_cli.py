@@ -445,6 +445,27 @@ def test_p_max_is_bounded_before_the_sieve(capsys, monkeypatch):
         main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5000"])
 
 
+class _SweepReached(Exception):
+    pass
+
+
+def test_z_size_is_bounded_before_any_term(capsys, monkeypatch):
+    # a 200-digit z took 21.9 s to generate 600 terms; the bound refuses it before the sweep starts
+    def sweep(*args, **kwargs):
+        raise _SweepReached
+
+    monkeypatch.setattr("partible.cli.sweep", sweep)
+    argv = ["verify", "--family", "delannoy_poly", "--r-max", "0", "--p-max", "1000", "--z", "2"]
+    assert main(argv + [str(2 ** 32 + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: a --z of 33 bits is above 32 bits\n"
+    for z in (2 ** 32 - 1, -(2 ** 32 - 1)):
+        with pytest.raises(_SweepReached):
+            main(argv + [str(z)])
+    proc = _run_cli(argv[:-1] + [str(10 ** 199 + 7), "--json"], timeout=1)
+    assert proc.returncode == 2 and proc.stdout == "" and "above 32 bits" in proc.stderr
+
+
 class _ReductionReached(Exception):
     pass
 

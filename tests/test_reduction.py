@@ -97,18 +97,16 @@ def test_reduce_over_symbolic_coefficients():
 
 
 def test_reduce_rejects_an_image_of_the_wrong_degree(monkeypatch):
-    kernel = reduction._adjoint_images
+    kernel = reduction._monomial_images
 
-    def one_short_image(L, center, offset, scale=1, step=1):
-        image = kernel(L, center, offset, scale, step)
+    def one_short_image(L, top):
+        images = kernel(L, top)
+        if top >= 2:
+            I, E = images[2]
+            images[2] = (I[:-1], E)
+        return images
 
-        def tampered(j):
-            I, E = image(j)
-            return (I[:-1], E) if j == 2 else (I, E)
-
-        return tampered
-
-    monkeypatch.setattr(reduction, "_adjoint_images", one_short_image)
+    monkeypatch.setattr(reduction, "_monomial_images", one_short_image)
     L = apery_operator()
     assert reduce(K ** 4, L).reassemble(L) == K ** 4  # images 0 and 1 are intact
     with pytest.raises(AssertionError, match="adjoint image 2 has degree 4, expected 5"):
@@ -358,6 +356,19 @@ def test_adjoint_basis_at_integer_centers_of_odd_order():
             assert _basis_image(L, cert, s, 3) == list(image.coeffs)
 
 
+@pytest.mark.parametrize("family", ["apery", "apery_signed", "delannoy_number", "delannoy_poly"])
+def test_centred_basis_matches_adjoint_apply(fresh_bases, family):
+    # I/E against L*((k - gamma + J/2)^j) in powers of w = beta (k - gamma), k = gamma + w/beta
+    L = builtin(family).annihilator
+    cert = is_partible(L)
+    beta, image = center_scale(cert.gamma), reduction.adjoint_basis(L, cert)
+    for j in range(13):
+        I, E = image(j)
+        expected = adjoint_apply(L, (K - cert.gamma + Fraction(cert.order, 2)) ** j)
+        assert Polynomial([quotient(c, E) for c in I]) == expected.subst_linear(Fraction(1, beta),
+                                                                                cert.gamma)
+
+
 def test_parity_of_remainders_up_to_15():
     for L in (apery_operator(), apery_signed_operator(),
               delannoy_operator(), delannoy_operator(1)):
@@ -441,43 +452,21 @@ def fresh_bases():
     reduction.adjoint_basis.cache_clear()
 
 
-def test_adjoint_basis_audit_is_live(monkeypatch, fresh_bases):
-    kernel = reduction._adjoint_images
-
-    def one_wrong_image(L, center, offset, scale=1, step=1):
-        image = kernel(L, center, offset, scale, step)
-
-        def tampered(j):
-            I, E = image(j)
-            return (I[:2] + (I[2] + E,) + I[3:], E) if j == 2 else (I, E)  # image + w^2
-
-        return tampered
-
-    monkeypatch.setattr(reduction, "_adjoint_images", one_wrong_image)
-    L = apery_operator()
-    assert partible_reduce(3, L, is_partible(L)).v_coeffs == {0: Fraction(-1, 8)}
-    with pytest.raises(AssertionError, match="exactness audit"):
-        partible_reduce(5, L, is_partible(L))
-    # the failed image is not kept as audited: the next draw audits it, and fails, again
-    with pytest.raises(AssertionError, match="exactness audit"):
-        partible_reduce(5, L, is_partible(L))
-
-
 def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases):
     expand = reduction._binomial_power
-    audits = []
+    expansions = []
 
     def counting(f, j):
-        audits.append(j)
+        expansions.append(j)
         return expand(f, j)
 
     monkeypatch.setattr(reduction, "_binomial_power", counting)
     table = constant_table("apery", 20)
-    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each audited once:
+    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each built once:
     # one binomial expansion per factor f_i, i = 0, 1, 2
-    assert sorted(audits) == sorted(list(range(0, 40, 2)) * 3)
+    assert sorted(expansions) == sorted(list(range(0, 40, 2)) * 3)
     assert table.entries[20] == constant_table("apery", 20).entries[20]
-    assert len(audits) == 60  # the second table reuses the cached basis
+    assert len(expansions) == 60  # the second table reuses the cached basis
 
 
 def test_normal_forms_refuse_a_parity_with_two_powers_below_d():
@@ -503,14 +492,14 @@ def test_constant_table_builds_only_the_parity_it_reads(monkeypatch, fresh_bases
     added = mock.Mock(wraps=reduction._add)
     monkeypatch.setattr(reduction, "_add", added)
     constant_table("apery", 20)
-    # images j = 0, 2, ..., 38: 20 built and 20 audited, each a sum of J + 1 = 3 products;
+    # images j = 0, 2, ..., 38: 20 built, each a sum of J + 1 = 3 products;
     # a builder drawing every j up to 38 would build 39
-    assert added.call_count == (20 + 20) * 2
+    assert added.call_count == 20 * 2
 
 
 @pytest.mark.parametrize("part", [0, 2], ids=["T", "f"])
 def test_adjoint_basis_audits_its_parts_once(monkeypatch, fresh_bases, part):
-    # the builder and the image audit both read the parts, so only the parts audit can see this
+    # every image is built from the parts, so only the parts audit can see this
     kernel = reduction._image_parts
 
     def one_wrong_part(L, center, offset, scale=1):
