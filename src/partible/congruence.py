@@ -20,7 +20,7 @@ from typing import Callable
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .ratfunc import RationalFunction
 from .reduction import NotPartible, is_partible, normal_forms, partible_reduce
-from .sequences import UnknownFamily, binomial_rows, builtin
+from .sequences import UnknownFamily, binomial_rows, builtin, term_lists
 
 __all__ = [
     "CongruenceReport",
@@ -102,7 +102,8 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     2k+1 of the odd power; the delannoy families keep the constant term of the even power.
     Their odd power lies entirely in the difference space, and 0 is returned, as the table
     checks.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic
-    in z and r above MAX_R_SYMBOLIC raises ValueError.
+    in z and r above MAX_R_SYMBOLIC raises ValueError, as does bits(z) (r+1)^2 above
+    MAX_Z_TABLE_COST with one.
     """
     return _constants(family, r, z, power_parity, "r")[r]
 
@@ -171,12 +172,18 @@ def _denominator_content(c) -> int:
 #: and 5.2-7.9 s at r <= 180 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
 MAX_R_SYMBOLIC = 160
 
+#: the largest bits(z) (r_max+1)^2 of a table at a given z, which its cost tracks on a 2-vCPU host:
+#: 17.6 s at a 662-bit z and r <= 160 (17.2e6), 0.6 s at a 67-bit z and r <= 171 (2.0e6); the
+#: slowest table admitted is at a small z and the exponent limit, 3.2 s at 8 bits and r <= 499
+MAX_Z_TABLE_COST = 2_000_000
+
 
 def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) -> dict:
     """r -> c_r for r <= r_max at the parity: one normal-form pass, audited by partible_reduce
     at the top power.  First the certificate must show that the powers below d of the parity are
     exactly the survivor, else AssertionError; a parity with no survivor then reads 0 at every r
-    and runs no reduction.  A symbolic table with r_max above MAX_R_SYMBOLIC raises ValueError."""
+    and runs no reduction.  A symbolic table with r_max above MAX_R_SYMBOLIC raises ValueError, as
+    does a table at a z with bits(z) (r_max+1)^2 above MAX_Z_TABLE_COST."""
     L = builtin(family, z).annihilator
     cert = is_partible(L)
     if cert is None:
@@ -191,6 +198,9 @@ def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) 
         return dict.fromkeys(range(r_max + 1), 0)
     if r_max > MAX_R_SYMBOLIC and L.field == "Q(z)":
         raise ValueError(f"r = {r_max} is above {MAX_R_SYMBOLIC}, the largest r of a table symbolic in z")
+    if z is not None and z.bit_length() * (r_max + 1) ** 2 > MAX_Z_TABLE_COST:
+        raise ValueError(f"r = {r_max} at a z of {z.bit_length()} bits is above the bound "
+                         f"bits(z) (r+1)^2 <= {MAX_Z_TABLE_COST} of a table at a given z")
     top = _power(r_max, parity)
     forms = normal_forms(top, L, cert)
     if partible_reduce(top, L, cert).u_coeffs != ({survivor: forms[top]} if forms[top] else {}):
@@ -315,10 +325,12 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
 
     The admissible primes are those from the family's smallest prime up,
     prime to z.  The constants come from one normal-form pass
-    (_table_constants), with no reference to any prime.  They are evaluated
-    and the terms generated once per z; each prime checks every r at once
-    (_cells).  A cell that raises is reported as failed, with lhs and rhs
-    None and the exception's class and message as its error.  Raises
+    (_table_constants), with no reference to any prime, evaluated once per z.
+    Once every z has its primes, one pass over the definition rows evaluates
+    each row at every z (term_lists), so the terms of every z are held at once;
+    each prime checks every r at once (_cells).  A cell that raises is
+    reported as failed, with lhs and rhs None and the exception's class and
+    message as its error.  Raises
     HypothesisViolation when some z is not a nonzero int or is repeated,
     or some z (or the family) has no cell, and ValueError as the table does.
     """
@@ -327,15 +339,16 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     zs = (zs or [1]) if rule.takes_z else [None]
     constants = _table_constants(family, rule, parity, r_max)
 
-    reports = []
+    candidates = primes_in_range(rule.min_prime, p_max)
+    primes = {z: [p for p in candidates if z is None or z % p] for z in zs}
     for z in zs:
-        primes = [p for p in primes_in_range(rule.min_prime, p_max) if z is None or z % p]
-        if not primes:
+        if not primes[z]:
             where = "" if z is None else f" at z={z}"
             raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
-        terms = builtin(family, z).terms(max(primes))
+    reports = []
+    for z, terms in zip(zs, term_lists(family, max(map(max, primes.values())), zs)):
         at_z = _at(constants, z)
-        for p in primes:
+        for p in primes[z]:
             reports += _cells(family, rule, parity, p, z, terms, at_z)
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))
     return reports

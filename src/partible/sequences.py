@@ -10,6 +10,7 @@ binomial product, not of the sums, whose recurrence is never used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import floordiv, mul
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
@@ -54,10 +55,15 @@ def delannoy_poly_terms(n: int, z=1) -> list:
     z may be an int or Fraction for concrete values, or the symbol Z for
     terms in Q(z), whose coefficient lists are the rows of binomial_rows.
     """
-    z = scalar(z)
-    if z == Z:
-        return [RationalFunction(row) for row in binomial_rows(n)]
-    return [_horner(row, z) for row in binomial_rows(n)]
+    return delannoy_poly_term_lists(n, [z])[0]
+
+
+def delannoy_poly_term_lists(n: int, zs) -> list[list]:
+    """delannoy_poly_terms(n, z) for each z of zs, from one pass over binomial_rows(n):
+    the rows do not depend on z, so each is evaluated at every z as it is stepped."""
+    at = [RationalFunction if z == Z else partial(_horner, x=z) for z in map(scalar, zs)]
+    by_row = [[f(row) for f in at] for row in binomial_rows(n)]
+    return [[values[i] for values in by_row] for i in range(len(at))]
 
 
 def _apery_shape(sign: int) -> ShiftOperator:
@@ -87,12 +93,14 @@ def delannoy_operator(z=None) -> ShiftOperator:
     ])
 
 
-# name -> (terms(n, z), annihilator(z), whether z may be given); z=None is symbolic
+# name -> (term lists(n, zs), one per z, annihilator(z), whether z may be given); z=None is symbolic
 _FAMILIES = dict(
-    apery=(lambda n, z: apery_terms(n), lambda z: apery_operator(), False),
-    apery_signed=(lambda n, z: apery_signed_terms(n), lambda z: apery_signed_operator(), False),
-    delannoy_number=(lambda n, z: delannoy_poly_terms(n, 1), lambda z: delannoy_operator(1), False),
-    delannoy_poly=(lambda n, z: delannoy_poly_terms(n, Z if z is None else z),
+    apery=(lambda n, zs: [apery_terms(n)] * len(zs), lambda z: apery_operator(), False),
+    apery_signed=(lambda n, zs: [apery_signed_terms(n)] * len(zs), lambda z: apery_signed_operator(),
+                  False),
+    delannoy_number=(lambda n, zs: delannoy_poly_term_lists(n, [1] * len(zs)),
+                     lambda z: delannoy_operator(1), False),
+    delannoy_poly=(lambda n, zs: delannoy_poly_term_lists(n, [Z if z is None else z for z in zs]),
                    delannoy_operator, True),
 )
 
@@ -106,17 +114,26 @@ class SequenceFamily:
     annihilator: ShiftOperator
 
     def terms(self, n: int) -> list:
-        return _FAMILIES[self.name][0](n, self.parameter)
+        return _FAMILIES[self.name][0](n, [self.parameter])[0]
+
+
+def _family(name: str, zs) -> tuple:
+    """The _FAMILIES entry of name; UnknownFamily for an unknown name or a z it does not take."""
+    if name not in _FAMILIES:
+        raise UnknownFamily(f"unknown family {name!r}")
+    if not _FAMILIES[name][2] and any(z is not None for z in zs):
+        raise UnknownFamily(f"family {name!r} takes no parameter")
+    return _FAMILIES[name]
 
 
 def builtin(name: str, parameter=None) -> SequenceFamily:
     """Look up a family; `parameter` is the Delannoy z (None = symbolic)."""
-    if name not in _FAMILIES:
-        raise UnknownFamily(f"unknown family {name!r}")
-    _, annihilator, takes_z = _FAMILIES[name]
-    if parameter is not None and not takes_z:
-        raise UnknownFamily(f"family {name!r} takes no parameter")
-    return SequenceFamily(name, parameter, annihilator(parameter))
+    return SequenceFamily(name, parameter, _family(name, [parameter])[1](parameter))
+
+
+def term_lists(name: str, n: int, zs) -> list[list]:
+    """builtin(name, z).terms(n) for each z of zs, from one pass over the definition's rows."""
+    return _family(name, zs)[0](n, zs)
 
 
 # -- recurrence guessing -------------------------------------------------------

@@ -500,6 +500,32 @@ def test_symbolic_r_max_is_bounded_before_any_reduction(capsys, monkeypatch):
             main(["constants", "--family", *argv])
 
 
+def test_concrete_z_table_is_bounded_before_any_reduction(monkeypatch):
+    # a table at a 662-bit z took 17.6 s at r <= 160, where bits(z) (r+1)^2 is 17.2 million
+    big, readme_z = 10 ** 199 + 7, 100000000000000000039  # 662 and 67 bits
+    proc = _run_cli(["constants", "--family", "delannoy_poly", "--z", str(big), "--r-max", "160", "--json"],
+                    timeout=1)
+    assert proc.returncode == 2 and proc.stdout == "" and "above the bound" in proc.stderr
+
+    def normal_forms(*args, **kwargs):
+        raise _ReductionReached
+
+    monkeypatch.setattr(congruence, "normal_forms", normal_forms)
+    for call in (lambda: congruence.constant_table("delannoy_poly", 160, z=big),
+                 lambda: congruence.derive_constant("delannoy_poly", 160, z=big),
+                 lambda: congruence.constant_table("delannoy_poly", 172, z=readme_z),
+                 lambda: congruence.constant_table("delannoy_poly", 499, z=-256)):
+        with pytest.raises(ValueError, match="above the bound"):
+            call()
+    # admitted: the README's z up to r = 171, an 8-bit z (about 3 s at r <= 499) and a 662-bit z
+    # at r <= 53; the odd parity vanishes and runs no reduction
+    for r, z in ((171, readme_z), (499, -255), (53, big)):
+        assert z.bit_length() * (r + 1) ** 2 <= congruence.MAX_Z_TABLE_COST
+        with pytest.raises(_ReductionReached):
+            congruence.constant_table("delannoy_poly", r, z=z)
+    assert congruence.derive_constant("delannoy_poly", 160, z=big, power_parity="odd") == 0
+
+
 def test_reduce_on_z_denominators_is_quick(tmp_path):
     # over Q(z) held as Fraction tuples, each gcd ran Euclid over Fractions: about 535 s
     spec = {"order": 2, "coeffs": ["k^2/(z+1) + 3", "-(2*k+3)*(z-2)/(z^2+1)", "k/(2*z-1) + 1/2"],

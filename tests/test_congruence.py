@@ -8,7 +8,7 @@ from unittest import mock
 
 import pytest
 
-from partible import congruence
+from partible import congruence, sequences
 from partible.cli import main
 from partible.congruence import (
     _RULES,
@@ -420,6 +420,16 @@ def test_sweep_evaluates_each_symbolic_constant_once_per_z():
     assert all(rep.passed for rep in reports)
 
 
+def test_sweep_steps_the_definition_rows_once():
+    # the rows C(m,i) C(m+i,i) do not depend on z: one pass is evaluated at every z
+    cases = [("delannoy_poly", [-3, 2, 7], parity) for parity in ("odd", "even")] + [("apery", None, None)]
+    for family, zs, parity in cases:
+        with mock.patch.object(sequences, "binomial_rows", side_effect=sequences.binomial_rows) as rows:
+            reports = sweep(family, 3, 60, z_values=zs, power_parity=parity)
+        assert rows.call_count == 1, (family, parity)
+        assert all(rep.passed for rep in reports)
+
+
 def _tampered_top(M, L, cert):
     forms = normal_forms(M, L, cert)
     return {**forms, M: forms[M] + 1}
@@ -453,24 +463,28 @@ def _definition_terms(family, n, z=None):
 
 
 def test_sweep_left_sides_match_a_math_comb_oracle():
-    # every lhs of a sweep is the definition sum, whatever way its weights are formed
-    cases = [(family, parity, None) for family, (_, _, parities, takes_z) in RULES.items()
+    # every lhs of a sweep is the definition sum, whatever way its weights are formed; with
+    # several z, z = 59 drops the prime 59, so the z differ in their largest admissible prime
+    cases = [(family, parity, [None]) for family, (_, _, parities, takes_z) in RULES.items()
              if not takes_z for parity in parities]
-    cases += [("delannoy_poly", parity, z) for parity in ("odd", "even") for z in (2, -3)]
-    assert len(cases) == 8
+    cases += [("delannoy_poly", parity, zs) for parity in ("odd", "even")
+              for zs in ([2], [-3], [2, -3, 59])]
+    assert len(cases) == 10
     r_max, p_max = 6, 60
-    for family, parity, z in cases:
+    for family, parity, zs in cases:
         e = RULES[family][0]
-        terms = _definition_terms(family, p_max, z)
-        reports = sweep(family, r_max, p_max, z_values=None if z is None else [z],
+        terms = {z: _definition_terms(family, p_max, z) for z in zs}
+        reports = sweep(family, r_max, p_max, z_values=None if zs == [None] else zs,
                         power_parity=parity)
-        primes = [p for p in primes_in_range(RULES[family][1], p_max) if z is None or z % p]
-        assert len(reports) == (r_max + 1) * len(primes)
+        primes = {z: [p for p in primes_in_range(RULES[family][1], p_max) if z is None or z % p]
+                  for z in zs}
+        assert sorted((rep.z or 0, rep.p, rep.r) for rep in reports) == sorted(
+            (z or 0, p, r) for z in zs for p in primes[z] for r in range(r_max + 1))
         for rep in reports:
             m = rep.p ** e
             power = 2 * rep.r + (1 if parity == "odd" else 2)
-            lhs = sum(pow(2 * k + 1, power, m) * terms[k] for k in range(rep.p)) % m
-            assert (rep.power, rep.lhs, rep.passed) == (power, lhs, True), (family, parity, z)
+            lhs = sum(pow(2 * k + 1, power, m) * terms[rep.z][k] for k in range(rep.p)) % m
+            assert (rep.power, rep.lhs, rep.passed) == (power, lhs, True), (family, parity, rep.z)
 
 
 def test_odd_power_sum_zero():

@@ -107,6 +107,18 @@ def test_builtin_families():
         builtin("apery", 3)
 
 
+def test_term_lists_evaluate_one_row_pass_at_every_z():
+    zs = [3, Z, Fraction(-3, 2), None]
+    assert sequences.term_lists("delannoy_poly", 40, zs) == [
+        builtin("delannoy_poly", z).terms(40) for z in zs]
+    assert sequences.term_lists("delannoy_poly", 0, [2, 5]) == [[], []]
+    assert sequences.term_lists("apery_signed", 20, [None]) == [apery_signed_terms(20)]
+    assert sequences.term_lists("delannoy_number", 20, [None]) == [delannoy_poly_terms(20, 1)]
+    for name, zs in (("fibonacci", [None]), ("apery", [None, 3])):
+        with pytest.raises(UnknownFamily):
+            sequences.term_lists(name, 5, zs)
+
+
 @pytest.mark.parametrize("name,parameter", [
     ("apery", None),
     ("apery_signed", None),
