@@ -118,6 +118,11 @@ def cmd_verify(args) -> int:
     bits = max((z.bit_length() for z in args.z or ()), default=0)
     if bits > MAX_Z_BITS:  # before any term is built
         raise ValueError(f"a --z of {bits} bits is above {MAX_Z_BITS} bits")
+    # a sweep holds every z's terms at once, about (bits(z) + 2.5) p_max^2 / 2 bits each: the list
+    # may hold no more than one z of MAX_Z_BITS at MAX_P
+    if sum(z.bit_length() + 3 for z in args.z or ()) * args.p_max ** 2 > (MAX_Z_BITS + 3) * MAX_P ** 2:
+        raise ValueError(f"the terms of {len(args.z)} --z values at --p-max {args.p_max} are above "
+                         f"those of one {MAX_Z_BITS}-bit z at --p-max {MAX_P}")
     reports = sweep(args.family, _r_max(args.r_max), args.p_max, z_values=args.z,
                     power_parity=args.parity)
     for report in reports:

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .ratfunc import RationalFunction
-from .reduction import NotPartible, is_partible, normal_forms, partible_reduce
+from .reduction import NotPartible, is_partible, normal_forms
 from .sequences import UnknownFamily, binomial_rows, builtin, term_lists
 
 __all__ = [
@@ -95,15 +95,15 @@ def _power(r: int, parity: str) -> int:
 
 
 def derive_constant(family: str, r: int, z=None, power_parity: str | None = None):
-    """The constant c_r surviving the reduction of (2k+1)^power: entry r of _table_constants.
+    """The constant c_r surviving the reduction of (2k+1)^power: entry r of _table_constants,
+    whose one normal-form pass audits its own residual, so c_r matches partible_reduce's u.
 
     power is 2r+1 for power_parity "odd" and 2r+2 for "even", by default the family's first
     parity in _RULES that has a surviving power.  The Apery families keep the coefficient of
     2k+1 of the odd power; the delannoy families keep the constant term of the even power.
     Their odd power lies entirely in the difference space, and 0 is returned, as the table
-    checks.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic
-    in z and r above MAX_R_SYMBOLIC raises ValueError, as does bits(z) (r+1)^2 above
-    MAX_Z_TABLE_COST with one.
+    checks.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic in
+    z and r above MAX_R_SYMBOLIC raises ValueError, as does bits(z) (r+1)^2 above MAX_Z_TABLE_COST.
     """
     return _constants(family, r, z, power_parity, "r")[r]
 
@@ -168,22 +168,22 @@ def _denominator_content(c) -> int:
     return Fraction(c).denominator
 
 
-#: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 3.8-4.9 s at r <= 160
-#: and 5.2-7.9 s at r <= 180 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
-MAX_R_SYMBOLIC = 160
+#: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 3.3-5.3 s at r <= 180
+#: and 3.8-5.0 s at r <= 190 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
+MAX_R_SYMBOLIC = 180
 
 #: the largest bits(z) (r_max+1)^2 of a table at a given z, which its cost tracks on a 2-vCPU host:
-#: 17.6 s at a 662-bit z and r <= 160 (17.2e6), 0.6 s at a 67-bit z and r <= 171 (2.0e6); the
-#: slowest table admitted is at a small z and the exponent limit, 3.2 s at 8 bits and r <= 499
+#: 17.6 s at a 662-bit z and r <= 160 (17.2e6), 0.5-0.8 s at a 67-bit z and r <= 171 (2.0e6); the
+#: slowest table admitted is at a small z and the exponent limit, 2.7-3.2 s at 8 bits and r <= 499
 MAX_Z_TABLE_COST = 2_000_000
 
 
 def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) -> dict:
-    """r -> c_r for r <= r_max at the parity: one normal-form pass, audited by partible_reduce
-    at the top power.  First the certificate must show that the powers below d of the parity are
-    exactly the survivor, else AssertionError; a parity with no survivor then reads 0 at every r
-    and runs no reduction.  A symbolic table with r_max above MAX_R_SYMBOLIC raises ValueError, as
-    does a table at a z with bits(z) (r_max+1)^2 above MAX_Z_TABLE_COST."""
+    """r -> c_r for r <= r_max at the parity: one normal-form pass, which audits its own residual.
+    First the certificate must show that the powers below d of the parity are exactly the
+    survivor, else AssertionError; a parity with no survivor then reads 0 at every r and runs no
+    reduction.  A symbolic table with r_max above MAX_R_SYMBOLIC raises ValueError, as does a
+    table at a z with bits(z) (r_max+1)^2 above MAX_Z_TABLE_COST."""
     L = builtin(family, z).annihilator
     cert = is_partible(L)
     if cert is None:
@@ -201,10 +201,7 @@ def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) 
     if z is not None and z.bit_length() * (r_max + 1) ** 2 > MAX_Z_TABLE_COST:
         raise ValueError(f"r = {r_max} at a z of {z.bit_length()} bits is above the bound "
                          f"bits(z) (r+1)^2 <= {MAX_Z_TABLE_COST} of a table at a given z")
-    top = _power(r_max, parity)
-    forms = normal_forms(top, L, cert)
-    if partible_reduce(top, L, cert).u_coeffs != ({survivor: forms[top]} if forms[top] else {}):
-        raise AssertionError(f"normal form of power {top} failed the reduction identity audit")
+    forms = normal_forms(_power(r_max, parity), L, cert)
     return {r: forms[_power(r, parity)] for r in range(r_max + 1)}
 
 

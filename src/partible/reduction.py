@@ -300,16 +300,19 @@ def normal_forms(M: int, L: ShiftOperator, cert: PartibleCertificate) -> dict:
     partible_reduce(m, L, cert), w^s being the one power below d of that parity (else ValueError).
 
     c_s = 1, and image j = m - d, of degree m, top entry l and the parity of m, maps to 0 under N,
-    so c_m = -(1/l) sum_{i<m} I_j[i] c_i.  The c_i are numerators n_i over one denominator D; each
-    step is _back_substitute's fraction-free cancel, (a, b) = cancel_common(-l, sum I_j[i] n_i), so
-    c_m = b/(a D), n_i <- a n_i and D <- a D.  Each c_m is divided out once, at the end.
+    so c_m = -(1/l) sum_{i<m} I_j[i] c_i.  With c_i = n_i/D, each step is _back_substitute's cancel
+    (a, b) = cancel_common(-l, sum I_j[i] n_i): c_m = b/(a D), n_i <- a n_i, D <- a D.  The residual
+    audit then checks n_s = D and each image as stated with sum_i I_j[i] n_i = 0, else AssertionError.
     """
     image, d, s = adjoint_basis(L, cert), cert.d, M % 2
     if not s < d <= s + 2:
         raise ValueError(f"normal_forms keeps one power below d = {d}, not {list(range(s, max(d, 0), 2))}")
-    nums, D = [1], 1
-    for m in range(s + 2, M + 1, 2):
-        I, _ = image(m - d)
+    nums, D, images = [1], 1, {m: image(m - d)[0] for m in range(s + 2, M + 1, 2)}
+    for m, I in images.items():
         a, b = cancel_common(-I[m], sum(c * n for c, n in zip(I[s:m:2], nums)))
         nums, D = [a * n for n in nums] + [b], a * D
+    failed = [m for m, I in images.items() if len(I) != m + 1 or any(I[1 - s::2])
+              or sum(c * n for c, n in zip(I[s::2], nums))]
+    if failed or nums[0] != D:
+        raise AssertionError(f"normal form of power {min(failed, default=s)} failed the residual audit")
     return {m: quotient(n, D) for m, n in zip(range(s, M + 1, 2), nums)}

@@ -466,36 +466,58 @@ def test_z_size_is_bounded_before_any_term(capsys, monkeypatch):
     assert proc.returncode == 2 and proc.stdout == "" and "above 32 bits" in proc.stderr
 
 
+def test_z_list_is_bounded_before_the_sweep(capsys, monkeypatch):
+    # a sweep holds every z's terms at once: five 32-bit z at --p-max 2000 peaked at 68.9 MB, against
+    # 40.2 MB with one z's terms alive at a time; the list may hold the terms of one 32-bit z at 5000
+    def sweep(*args, **kwargs):
+        raise _SweepReached
+
+    monkeypatch.setattr("partible.cli.sweep", sweep)
+    zs = [str(2 ** 32 - d) for d in (1, 5, 17, 65, 99)]
+    admitted = [(2500, zs[:4]), (5000, [str(2 ** 15), str(-(2 ** 12))]), (5000, zs[:1]), (2000, zs)]
+    refused = [(2500, zs), (5000, [str(2 ** 15), str(-(2 ** 13))]), (5000, zs[:2])]
+    argv = ["verify", "--family", "delannoy_poly", "--r-max", "0", "--p-max"]
+    for p_max, z in admitted:  # the second list is at the budget
+        with pytest.raises(_SweepReached):
+            main(argv + [str(p_max), "--z", *z])
+    for p_max, z in refused:
+        assert main(argv + [str(p_max), "--z", *z]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: the terms of {len(z)} --z values at --p-max {p_max} are above those of one "
+            f"32-bit z at --p-max 5000\n")
+
+
 class _ReductionReached(Exception):
     pass
 
 
 def test_symbolic_r_max_is_bounded_before_any_reduction(capsys, monkeypatch):
-    # symbolic delannoy_poly took 10.1 s at r <= 160 and 13.0 s at r <= 170; tables over Q,
-    # at a given z, and at the parity whose sum vanishes keep the exponent-derived bound
+    # symbolic delannoy_poly took 3.3-5.3 s at r <= 180 and 3.8-5.0 s at r <= 190 on a 2-vCPU host;
+    # tables over Q, at a given z, and at the parity whose sum vanishes keep the exponent bound
     def normal_forms(*args, **kwargs):
         raise _ReductionReached
 
     monkeypatch.setattr(congruence, "normal_forms", normal_forms)
-    for argv in (["constants", "--family", "delannoy_poly", "--r-max", "161"],
-                 ["verify", "--family", "delannoy_poly", "--parity", "even", "--r-max", "161", "--p-max", "7"]):
+    for argv in (["constants", "--family", "delannoy_poly", "--r-max", "181"],
+                 ["verify", "--family", "delannoy_poly", "--parity", "even", "--r-max", "181", "--p-max", "7"]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "r = 161 is above 160" in captured.err
+        assert captured.err.startswith("error: ") and "r = 181 is above 180" in captured.err
         proc = _run_cli(argv + ["--json"], timeout=5)
-        assert proc.returncode == 2 and proc.stdout == "" and "above 160" in proc.stderr
-    for call in (lambda: congruence.derive_constant("delannoy_poly", 161),
-                 lambda: congruence.constant_table("delannoy_poly", 161),
-                 lambda: congruence.verify("delannoy_poly", 161, 7, z=2, power_parity="even"),
-                 lambda: congruence.sweep("delannoy_poly", 161, 7, power_parity="even")):
-        with pytest.raises(ValueError, match="r = 161 is above 160"):
+        assert proc.returncode == 2 and proc.stdout == "" and "above 180" in proc.stderr
+    for call in (lambda: congruence.derive_constant("delannoy_poly", 181),
+                 lambda: congruence.constant_table("delannoy_poly", 181),
+                 lambda: congruence.verify("delannoy_poly", 181, 7, z=2, power_parity="even"),
+                 lambda: congruence.sweep("delannoy_poly", 181, 7, power_parity="even")):
+        with pytest.raises(ValueError, match="r = 181 is above 180"):
             call()
     # the odd parity of delannoy_poly vanishes and runs no reduction
     assert main(["verify", "--family", "delannoy_poly", "--r-max", "499", "--p-max", "7", "--json"]) == 0
     capsys.readouterr()
-    for argv in (["delannoy_poly", "--r-max", "160"], ["delannoy_poly", "--r-max", "161", "--z", "7"],
-                 ["apery", "--r-max", "161"]):
+    for argv in (["delannoy_poly", "--r-max", "180"], ["delannoy_poly", "--r-max", "181", "--z", "7"],
+                 ["apery", "--r-max", "181"]):
         with pytest.raises(_ReductionReached):
             main(["constants", "--family", *argv])
 

@@ -1,6 +1,7 @@
 """Constant derivation and exact congruence verification."""
 
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from partible import congruence, sequences
+from partible import congruence, reduction, sequences
 from partible.cli import main
 from partible.congruence import (
     _RULES,
@@ -25,7 +26,7 @@ from partible.congruence import (
     verify,
 )
 from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
-from partible.ratfunc import RationalFunction, Z
+from partible.ratfunc import RationalFunction, Z, cancel_common
 from partible.reduction import is_partible, normal_forms, partible_reduce
 from partible.sequences import _FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator
 
@@ -389,7 +390,7 @@ def test_constants_do_not_depend_on_p():
     ("apery", 40, None), ("apery_signed", 40, None), ("delannoy_number", 40, None),
     ("delannoy_poly", 10, None), ("delannoy_poly", 20, 3), ("delannoy_poly", 20, -7)])
 def test_constant_table_matches_derive_constant_at_every_r(family, r_max, z):
-    # the table's one pass, which derive_constant reads, against a separately audited reduction per r
+    # the table's one pass, which derive_constant reads, against its oracle: partible_reduce per r
     parity, survivor = ("odd", 1) if family.startswith("apery") else ("even", 0)
     L = builtin(family, z).annihilator
     cert = is_partible(L)
@@ -430,13 +431,50 @@ def test_sweep_steps_the_definition_rows_once():
         assert all(rep.passed for rep in reports)
 
 
-def _tampered_top(M, L, cert):
-    forms = normal_forms(M, L, cert)
-    return {**forms, M: forms[M] + 1}
+def _tamper_step(monkeypatch, family, step, change):
+    """family, after the pass's cancel_common call number step is made to return change(a, b)."""
+    calls = itertools.count()
+
+    def cancel(x, y):
+        a, b = cancel_common(x, y)
+        return change(a, b) if next(calls) == step else (a, b)
+
+    monkeypatch.setattr(reduction, "cancel_common", cancel)
+    return family
 
 
+def _tamper_image(monkeypatch, family, j, change):
+    """family, after image j of the basis the pass reads is made change(I)."""
+    basis = reduction.adjoint_basis
+
+    def tampered(L, cert):
+        image = basis(L, cert)
+        return lambda i: (tuple(change(list(image(i)[0]))), image(i)[1]) if i == j else image(i)
+
+    monkeypatch.setattr(reduction, "adjoint_basis", tampered)
+    return family
+
+
+def _plus_one_at(i):
+    return lambda I: I[:i] + [I[i] + 1] + I[i + 1:]
+
+
+# each in-pass tamper names its family and must fail the residual audit; the others read apery
 @pytest.mark.parametrize("patch, match", [
-    (lambda monkeypatch: monkeypatch.setattr(congruence, "normal_forms", _tampered_top), "identity audit"),
+    # apery's first step has b = 0, so the sign of the second one's (power 5) is flipped
+    pytest.param(lambda monkeypatch: _tamper_step(monkeypatch, "apery", 1, lambda a, b: (a, -b)),
+                 "power 5 failed the residual audit", id="flipped b"),
+    # delannoy_poly's first step has a = z; apery's steps up to r = 8 all have a = 1
+    pytest.param(lambda monkeypatch: _tamper_step(monkeypatch, "delannoy_poly", 0, lambda a, b: (1, b)),
+                 "power 2 failed the residual audit", id="dropped rescale"),
+    # the pass reads only the entries of the parity s: the odd powers for apery, the even for
+    # delannoy_poly, at the images j = m - d of an even j for apery and an odd j for delannoy_poly
+    pytest.param(lambda monkeypatch: _tamper_image(monkeypatch, "apery", 2, _plus_one_at(0)),
+                 "power 5 failed the residual audit", id="other parity apery"),
+    pytest.param(lambda monkeypatch: _tamper_image(monkeypatch, "delannoy_poly", 3, _plus_one_at(1)),
+                 "power 4 failed the residual audit", id="other parity delannoy_poly"),
+    pytest.param(lambda monkeypatch: _tamper_image(monkeypatch, "apery", 4, lambda I: I + [1]),
+                 "power 7 failed the residual audit", id="one degree too long"),
     # a certificate of d = 5 keeps w^1 and w^3 below d at the odd powers, against the one survivor 1
     (lambda monkeypatch: monkeypatch.setattr(congruence, "is_partible", lambda L: dataclasses.replace(
         is_partible(L), d=5)), r"unexpected surviving powers \[3\]"),
@@ -444,9 +482,9 @@ def _tampered_top(M, L, cert):
     (lambda monkeypatch: monkeypatch.setitem(
         _RULES, "apery", dataclasses.replace(_RULES["apery"], parities={"odd": 3})), r"below d = 3: \[1\]")])
 def test_constant_table_audits_its_pass(monkeypatch, patch, match):
-    patch(monkeypatch)
+    family = patch(monkeypatch) or "apery"
     with pytest.raises(AssertionError, match=match):
-        constant_table("apery", 5)
+        constant_table(family, 5)
 
 
 def _definition_terms(family, n, z=None):
