@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, compress, repeat
 from operator import add, mul
 from typing import Callable
 
@@ -55,15 +55,17 @@ class _Rule:
     # so the sum vanishes.  The first parity is the default.
     parities: dict
     takes_z: bool
-    unit: Callable  # (p, the first p terms mod p^e) -> the factor of c_r on the right
+    # (p, sum_{k<p} F(k) mod p^e) -> the factor of c_r on the right; c_r's denominator is prime
+    # to p (a power of z, or 3 with p >= 5), so c_r unit mod p^e does not depend on the lift
+    unit: Callable
 
 
 _RULES = dict(
-    apery=_Rule(3, 5, {"odd": 1}, False, lambda p, terms: p),
-    apery_signed=_Rule(3, 5, {"odd": 1}, False, lambda p, terms: p * legendre_symbol(p, 3)),
+    apery=_Rule(3, 5, {"odd": 1}, False, lambda p, total: p),
+    apery_signed=_Rule(3, 5, {"odd": 1}, False, lambda p, total: p * legendre_symbol(p, 3)),
     delannoy_number=_Rule(1, 3, {"even": 0, "odd": None}, False,
-                          lambda p, terms: legendre_symbol(-1, p)),
-    delannoy_poly=_Rule(1, 3, {"odd": None, "even": 0}, True, lambda p, terms: sum(terms)),
+                          lambda p, total: legendre_symbol(-1, p)),
+    delannoy_poly=_Rule(1, 3, {"odd": None, "even": 0}, True, lambda p, total: total),
 )
 
 
@@ -243,11 +245,10 @@ class CongruenceReport:
 
     def to_dict(self) -> dict:
         """The fields in order, elapsed rounded to 6 places, z and error omitted when None."""
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None or f.default is not None:
-                out[f.name] = round(value, 6) if f.name == "elapsed" else value
+        out = {**vars(self), "elapsed": round(self.elapsed, 6)}
+        for name in ("z", "error"):
+            if out[name] is None:
+                del out[name]
         return out
 
 
@@ -256,38 +257,40 @@ def _at(constants: dict, z) -> dict:
     return {r: c.evaluate(z) if isinstance(c, RationalFunction) else c for r, c in constants.items()}
 
 
-def _cells(family, rule: _Rule, parity: str, p: int, z, terms, constants: dict) -> list:
-    """The reports at the prime p, one per r of constants (consecutive r, ascending, rational c_r).
+def _cells(family, rule: _Rule, parity: str, primes: list, z, terms, constants: dict) -> list:
+    """The reports at the ascending primes, one per r of constants (consecutive r, ascending,
+    rational c_r) and prime: the lhs of cell (r, p) is the exact prefix sum below p of one sequence.
 
-    The first p terms are reduced mod p^e and the unit is computed once.  The
-    weighted terms (2k+1)^power F(k) are taken by pow at the first r; each
-    next r multiplies them by (2k+1)^2, so every lhs is the definition sum.
-    A cell whose right side raises is reported failed, with lhs and rhs
-    None and the exception's class and message as its error.
+    The weighted terms (2k+1)^power F(k), k below the largest prime, are taken exactly by pow at
+    the first r; each next r multiplies them by (2k+1)^2.  Their running sums are read at every
+    prime at once, so every lhs is the definition sum, reduced mod p^e.  The unit reads the same
+    prefix sum at power 0.  A cell's elapsed times its own reduction and right side.  A cell whose
+    right side raises is reported failed, with lhs and rhs None and the exception's class and
+    message as its error.
     """
-    modulus = p ** rule.e
-    residues = [t % modulus for t in terms[:p]]
-    unit = rule.unit(p, residues)
-    odd = range(1, 2 * p, 2)
-    squares = [w * w for w in odd]
+    stops = bytes(map(set(primes).__contains__, range(1, primes[-1] + 1)))  # 1 at k = p - 1
+    moduli = [p ** rule.e for p in primes]
+    units = [rule.unit(p, s % m) for p, m, s in zip(primes, moduli, compress(accumulate(terms), stops))]
+    odd = range(1, 2 * primes[-1], 2)
     weighted = None
     reports = []
     for r, c in constants.items():
-        started = time.perf_counter()
         power = _power(r, parity)
         if weighted is None:
-            weighted = [pow(w, power, modulus) * t % modulus for w, t in zip(odd, residues)]
+            weighted = list(map(mul, map(pow, odd, repeat(power)), terms))
         else:
-            weighted = [x * s % modulus for x, s in zip(weighted, squares)]
-        lhs, error = sum(weighted) % modulus, None
-        try:
-            rhs = rational_to_residue(c * unit, modulus).value
-        except Exception as exc:  # keep the other cells alive; report this one as failed
-            lhs = rhs = None
-            error = f"{type(exc).__name__}: {exc}"
-        reports.append(CongruenceReport(
-            family, r, p, rule.e, power, lhs, rhs, passed=error is None and lhs == rhs,
-            elapsed=0.0 if error else time.perf_counter() - started, z=z, error=error))
+            weighted = list(map(mul, weighted, map(mul, odd, odd)))
+        for p, modulus, unit, total in zip(primes, moduli, units, compress(accumulate(weighted), stops)):
+            started = time.perf_counter()
+            lhs, error = total % modulus, None
+            try:
+                rhs = rational_to_residue(c * unit, modulus).value
+            except Exception as exc:  # keep the other cells alive; report this one as failed
+                lhs = rhs = None
+                error = f"{type(exc).__name__}: {exc}"
+            reports.append(CongruenceReport(
+                family, r, p, rule.e, power, lhs, rhs, passed=error is None and lhs == rhs,
+                elapsed=0.0 if error else time.perf_counter() - started, z=z, error=error))
     return reports
 
 
@@ -295,14 +298,15 @@ def verify(family: str, r: int, p: int, z: int | None = None,
            power_parity: str | None = None) -> CongruenceReport:
     """Check one congruence cell exactly, modulo p^e for the family's e.
 
-    lhs = sum_{k=0}^{p-1} (2k+1)^power F(k) mod p^e with F generated from
+    lhs = sum_{k=0}^{p-1} (2k+1)^power F(k) mod p^e, the prefix sum of _cells at p, with F from
     the binomial-sum definition; rhs is c_r times the family's unit
     (_RULES).  power_parity picks power = 2r+1 ("odd") or 2r+2 ("even");
     by default the family's first parity in _RULES.  An odd-power
     Delannoy sum must vanish; the Apery families only have the odd one.
     c_r is sweep's, symbolic in z and evaluated at z.  A violated hypothesis, or r above
     MAX_R_SYMBOLIC at a parity reduced over Q(z), raises; a right side that raises is reported
-    as a failed cell, as in sweep.  The report's elapsed excludes term generation and c_r.
+    as a failed cell, as in sweep.  The report's elapsed times the cell's own reduction mod p^e
+    and right side; it excludes term generation, the prefix sums and c_r.
     """
     rule, parity = _rule(family, power_parity, r, None if z is None else [z])
     _require(is_prime(p), f"{p} is not prime")
@@ -312,7 +316,7 @@ def verify(family: str, r: int, p: int, z: int | None = None,
         _require(z % p != 0, f"gcd({p}, z={z}) != 1")
     constants = _table_constants(family, rule, parity, r)
     terms = builtin(family, z).terms(p)
-    (report,) = _cells(family, rule, parity, p, z, terms, _at({r: constants[r]}, z))
+    (report,) = _cells(family, rule, parity, [p], z, terms, _at({r: constants[r]}, z))
     return report
 
 
@@ -320,16 +324,14 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
           power_parity: str | None = None) -> list[CongruenceReport]:
     """All cells (r <= r_max, admissible p <= p_max[, z]) for one family.
 
-    The admissible primes are those from the family's smallest prime up,
-    prime to z.  The constants come from one normal-form pass
-    (_table_constants), with no reference to any prime, evaluated once per z.
-    Once every z has its primes, one pass over the definition rows evaluates
-    each row at every z (term_lists), so the terms of every z are held at once;
-    each prime checks every r at once (_cells).  A cell that raises is
-    reported as failed, with lhs and rhs None and the exception's class and
-    message as its error.  Raises
-    HypothesisViolation when some z is not a nonzero int or is repeated,
-    or some z (or the family) has no cell, and ValueError as the table does.
+    The admissible primes are those from the family's smallest prime up, prime to z.  The
+    constants come from one normal-form pass (_table_constants), with no reference to any prime,
+    evaluated once per z.  Once every z has its primes, one pass over the definition rows
+    evaluates each row at every z (term_lists), so the terms of every z are held at once; then
+    each z takes one exact prefix-sum pass per r, read at all of its primes (_cells).  A cell
+    that raises is reported as failed, with lhs and rhs None and the exception's class and
+    message as its error.  Raises HypothesisViolation when some z is not a nonzero int or is
+    repeated, or some z (or the family) has no cell, and ValueError as the table does.
     """
     zs = None if z_values is None else list(z_values)
     rule, parity = _rule(family, power_parity, r_max, zs, "r_max")
@@ -344,9 +346,7 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
             raise HypothesisViolation(f"no admissible prime <= {p_max} for {family}{where}")
     reports = []
     for z, terms in zip(zs, term_lists(family, max(map(max, primes.values())), zs)):
-        at_z = _at(constants, z)
-        for p in primes[z]:
-            reports += _cells(family, rule, parity, p, z, terms, at_z)
+        reports += _cells(family, rule, parity, primes[z], z, terms, _at(constants, z))
     reports.sort(key=lambda rep: (rep.family, rep.r, rep.p, rep.z or 0))
     return reports
 

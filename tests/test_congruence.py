@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -25,10 +26,12 @@ from partible.congruence import (
     sweep,
     verify,
 )
-from partible.exact import NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range
+from partible.exact import (NonInvertibleDenominator, is_prime, legendre_symbol, primes_in_range,
+                            rational_to_residue)
 from partible.ratfunc import RationalFunction, Z, cancel_common
 from partible.reduction import is_partible, normal_forms, partible_reduce
-from partible.sequences import _FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator
+from partible.sequences import (_FAMILIES, UnknownFamily, builtin, delannoy_poly_terms, guess_annihilator,
+                                term_lists)
 
 
 def test_derive_constant_worked_values():
@@ -205,6 +208,61 @@ def test_verify_reports_a_raising_right_side(monkeypatch):
     assert rep.error == "NonInvertibleDenominator: boom"
     with pytest.raises(HypothesisViolation):  # a violated hypothesis still raises
         verify("apery", 2, 9)
+
+
+def _fields_dict(rep):
+    """to_dict's reference: the dataclass fields in order, elapsed rounded, z and error dropped when None."""
+    out = {}
+    for f in dataclasses.fields(rep):
+        value = getattr(rep, f.name)
+        if value is not None or f.default is not None:
+            out[f.name] = round(value, 6) if f.name == "elapsed" else value
+    return out
+
+
+def test_report_to_dict_matches_its_fields(monkeypatch):
+    reports = [verify("apery", 1, 7), verify("delannoy_poly", 1, 7, z=-3, power_parity="even")]
+    monkeypatch.setattr(congruence, "rational_to_residue", lambda q, m: 1 // 0)
+    reports += [verify("apery", 1, 7), verify("delannoy_poly", 1, 7, z=-3, power_parity="even")]
+    assert [(rep.passed, rep.z, rep.error is None) for rep in reports] == [
+        (True, None, True), (True, -3, True), (False, None, False), (False, -3, False)]
+    for rep in reports + [dataclasses.replace(reports[0], elapsed=0.123456789)]:
+        out = rep.to_dict()
+        assert json.dumps(out) == json.dumps(_fields_dict(rep))
+        assert out is not vars(rep) and out["elapsed"] == round(rep.elapsed, 6)
+
+
+@pytest.mark.parametrize("k0", [18, 22])
+@pytest.mark.parametrize("family, parity", [("apery", None), ("delannoy_poly", "odd")])
+def test_every_prefix_sum_stops_at_its_prime(monkeypatch, family, parity, k0):
+    # F(k0) + 1 moves the lhs of every cell whose sum reaches k0, those with p > k0, by
+    # (2k0+1)^power; the right sides do not read F (apery's unit is p, and c_r = 0 at odd powers
+    # of delannoy_poly), so those cells fail unless p^e divides (2k0+1)^power, as at 2*18+1 = 37
+    def shifted(name, n, zs):
+        return [[t + (k == k0) for k, t in enumerate(terms)] for terms in term_lists(name, n, zs)]
+
+    monkeypatch.setattr(congruence, "term_lists", shifted)
+    reports = sweep(family, 3, 60, power_parity=parity)
+    failed = {(rep.r, rep.p) for rep in reports if not rep.passed}
+    assert failed == {(rep.r, rep.p) for rep in reports
+                      if rep.p > k0 and pow(2 * k0 + 1, rep.power, rep.p ** rep.e)}
+    assert (k0 == 18) == any(rep.p == 37 and rep.passed for rep in reports)
+
+
+def test_sweep_reports_a_raising_right_side_at_one_prime(monkeypatch):
+    def raises_at_7(q, m):
+        if m % 7 == 0:
+            raise NonInvertibleDenominator("boom")
+        return rational_to_residue(q, m)
+
+    monkeypatch.setattr(congruence, "rational_to_residue", raises_at_7)
+    for family, zs, parity in [("apery", None, None), ("delannoy_poly", [-3, 2], "even")]:
+        reports = sweep(family, 3, 60, z_values=zs, power_parity=parity)
+        at_7 = [rep for rep in reports if rep.p == 7]
+        assert len(at_7) == 4 * len(zs or [None])
+        assert all((rep.lhs, rep.rhs, rep.passed, rep.elapsed, rep.error) == (
+            None, None, False, 0.0, "NonInvertibleDenominator: boom") for rep in at_7)
+        assert all(rep.passed and rep.error is None for rep in reports if rep.p != 7)
 
 
 def test_verify_hypothesis_violations():
