@@ -18,6 +18,7 @@ from operator import add, mul
 from typing import Callable
 
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
+from .poly import MAX_EXPONENT
 from .ratfunc import RationalFunction
 from .reduction import NotPartible, is_partible, normal_forms
 from .sequences import UnknownFamily, binomial_rows, builtin, term_lists
@@ -69,12 +70,23 @@ _RULES = dict(
 )
 
 
-def _rule(family: str, power_parity: str | None, r: int, zs=None, r_name="r") -> tuple[_Rule, str]:
+#: the largest verify p and sweep p_max: apery_terms(2000) took 4.6 s on a 2-vCPU host, 8x per doubling
+MAX_P = 5000
+
+#: the most bits of a z whose terms are built: delannoy_poly_terms(1000, z) took 0.42 s at z = 9, 1.2 s
+#: at a 32-bit z, 2.5 s at 65 bits and 6.5 s at 133 bits on a 2-vCPU host, each summand a power of z
+MAX_Z_BITS = 32
+
+
+def _rule(family: str, power_parity: str | None, r: int, zs=None, p_max=None) -> tuple[_Rule, str]:
     """The family's rule and the parity to check (its default when None), after checking the inputs.
 
-    Raises UnknownFamily for an unknown family and ValueError for r < 0 (named r_name).  Any other
-    fault raises HypothesisViolation: a parity the family lacks, or a list zs given to a family
-    without z, empty, or holding a z that is not a nonzero int or that repeats.
+    Raises UnknownFamily for an unknown family; HypothesisViolation for a parity the family lacks
+    or a list zs given to a family without z, empty, or holding a z that is not a nonzero int or
+    repeats; ValueError past a size bound: r < 0 or 2r+2 above poly.MAX_EXPONENT and, where terms
+    are built (p_max given), p_max above MAX_P, a z above MAX_Z_BITS bits, or sum_z (bits(z) + 3)
+    p_max^2 above (MAX_Z_BITS + 3) MAX_P^2, as a sweep holds every z's terms (about (bits(z) + 2.5)
+    p_max^2 / 2 bits each) at once.  Every check runs before any sieve, term or reduction.
     """
     rule = _RULES.get(family)
     if rule is None:
@@ -85,10 +97,25 @@ def _rule(family: str, power_parity: str | None, r: int, zs=None, r_name="r") ->
     _require(zs is None or rule.takes_z, f"{family} has no z parameter")
     _require(zs != [], f"{family} needs at least one z")
     if r < 0:
-        raise ValueError(f"{r_name} must be nonnegative")
-    _require(all(type(z) is int and z != 0 for z in zs or ()), f"{family} needs a nonzero integer z")
-    for i, z in enumerate(zs or ()):
-        _require(z not in zs[:i], f"{family} got z={z} more than once")
+        raise ValueError("r must be nonnegative")
+    if 2 * r + 2 > MAX_EXPONENT:
+        raise ValueError(f"r = {r} needs the power {2 * r + 2}, above {MAX_EXPONENT}")
+    zs = zs or []
+    _require(all(type(z) is int and z != 0 for z in zs), f"{family} needs a nonzero integer z")
+    seen = set()
+    for z in zs:
+        _require(z not in seen, f"{family} got z={z} more than once")
+        seen.add(z)
+    if p_max is None:  # no term is built
+        return rule, parity
+    if p_max > MAX_P:
+        raise ValueError(f"p = {p_max} is above {MAX_P}")
+    bits = max((z.bit_length() for z in zs), default=0)
+    if bits > MAX_Z_BITS:
+        raise ValueError(f"a z of {bits} bits is above {MAX_Z_BITS} bits")
+    if sum(z.bit_length() + 3 for z in zs) * p_max ** 2 > (MAX_Z_BITS + 3) * MAX_P ** 2:
+        raise ValueError(f"the terms of {len(zs)} z values at p = {p_max} are above "
+                         f"those of one {MAX_Z_BITS}-bit z at p = {MAX_P}")
     return rule, parity
 
 
@@ -105,9 +132,9 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     2k+1 of the odd power; the delannoy families keep the constant term of the even power.
     Their odd power lies entirely in the difference space, and 0 is returned, as the table
     checks.  A z must be a nonzero int (else HypothesisViolation); with none, c_r is symbolic in
-    z and r above MAX_R_SYMBOLIC raises ValueError, as does bits(z) (r+1)^2 above MAX_Z_TABLE_COST.
+    z.  _rule's bounds on r and _table_constants' bounds raise ValueError.
     """
-    return _constants(family, r, z, power_parity, "r")[r]
+    return _constants(family, r, z, power_parity)[r]
 
 
 @dataclass
@@ -121,25 +148,6 @@ class ConstantTable:
 
 
 _TRIAL_LIMIT = 10_000
-
-
-def _prime_factors(n: int) -> set[int]:
-    """The primes below _TRIAL_LIMIT dividing n, plus what is left of n after them.
-
-    A leftover below _TRIAL_LIMIT^2 is prime; a larger one is reported
-    unfactored, so no denominator can make this search hang.
-    """
-    n = abs(n)
-    out = set()
-    f = 2
-    while f * f <= n and f < _TRIAL_LIMIT:
-        while n % f == 0:
-            out.add(f)
-            n //= f
-        f += 1 if f == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
 
 
 def _add_coprime(support: set, n: int):
@@ -171,7 +179,7 @@ def _denominator_content(c) -> int:
 
 
 #: the largest r of a table symbolic in z: the CLI's delannoy_poly table took 3.3-5.3 s at r <= 180
-#: and 3.8-5.0 s at r <= 190 on a 2-vCPU host; tables over Q keep the CLI's exponent-derived bound
+#: and 3.8-5.0 s at r <= 190 on a 2-vCPU host; tables over Q keep _rule's exponent-derived bound
 MAX_R_SYMBOLIC = 180
 
 #: the largest bits(z) (r_max+1)^2 of a table at a given z, which its cost tracks on a 2-vCPU host:
@@ -207,9 +215,9 @@ def _table_constants(family: str, rule: _Rule, parity: str, r_max: int, z=None) 
     return {r: forms[_power(r, parity)] for r in range(r_max + 1)}
 
 
-def _constants(family: str, r_max: int, z, power_parity: str | None, r_name: str) -> dict:
+def _constants(family: str, r_max: int, z, power_parity: str | None) -> dict:
     """_table_constants after _rule's checks, by default at the first parity with a survivor."""
-    rule, parity = _rule(family, power_parity, r_max, None if z is None else [z], r_name)
+    rule, parity = _rule(family, power_parity, r_max, None if z is None else [z])
     if power_parity is None:
         parity = next((q for q, survivor in rule.parities.items() if survivor is not None), parity)
     return _table_constants(family, rule, parity, r_max, z)
@@ -217,10 +225,11 @@ def _constants(family: str, r_max: int, z, power_parity: str | None, r_name: str
 
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
     """derive_constant's c_r for r <= r_max, inputs checked first, and their denominators' support:
-    the primes below _TRIAL_LIMIT are found once, in the lcm, then each denominator refines it."""
-    table = ConstantTable(family, _constants(family, r_max, z, None, "r_max"))
+    the sieve's primes below _TRIAL_LIMIT dividing their lcm, refined by each whole denominator."""
+    table = ConstantTable(family, _constants(family, r_max, z, None))
     dens = [_denominator_content(c) for c in table.entries.values()]
-    for n in [*_prime_factors(math.lcm(*dens)), *dens]:
+    lcm = math.lcm(*dens)
+    for n in [*(q for q in primes_in_range(2, min(lcm, _TRIAL_LIMIT)) if lcm % q == 0), *dens]:
         _add_coprime(table.denominator_support, n)
     table.z_in_denominator = any(isinstance(c, RationalFunction) and len(c.den) > 1
                                  for c in table.entries.values())
@@ -303,12 +312,12 @@ def verify(family: str, r: int, p: int, z: int | None = None,
     (_RULES).  power_parity picks power = 2r+1 ("odd") or 2r+2 ("even");
     by default the family's first parity in _RULES.  An odd-power
     Delannoy sum must vanish; the Apery families only have the odd one.
-    c_r is sweep's, symbolic in z and evaluated at z.  A violated hypothesis, or r above
-    MAX_R_SYMBOLIC at a parity reduced over Q(z), raises; a right side that raises is reported
+    c_r is sweep's, symbolic in z and evaluated at z.  A violated hypothesis, or a bound of _rule
+    (p as p_max) or of _table_constants, raises; a right side that raises is reported
     as a failed cell, as in sweep.  The report's elapsed times the cell's own reduction mod p^e
     and right side; it excludes term generation, the prefix sums and c_r.
     """
-    rule, parity = _rule(family, power_parity, r, None if z is None else [z])
+    rule, parity = _rule(family, power_parity, r, None if z is None else [z], p)
     _require(is_prime(p), f"{p} is not prime")
     _require(p >= rule.min_prime, f"{family} requires a prime p >= {rule.min_prime}")
     if rule.takes_z:
@@ -331,10 +340,10 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     each z takes one exact prefix-sum pass per r, read at all of its primes (_cells).  A cell
     that raises is reported as failed, with lhs and rhs None and the exception's class and
     message as its error.  Raises HypothesisViolation when some z is not a nonzero int or is
-    repeated, or some z (or the family) has no cell, and ValueError as the table does.
+    repeated, or some z (or the family) has no cell, and ValueError past any size bound.
     """
     zs = None if z_values is None else list(z_values)
-    rule, parity = _rule(family, power_parity, r_max, zs, "r_max")
+    rule, parity = _rule(family, power_parity, r_max, zs, p_max)
     zs = (zs or [1]) if rule.takes_z else [None]
     constants = _table_constants(family, rule, parity, r_max)
 

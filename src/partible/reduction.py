@@ -259,26 +259,25 @@ class PartibleReduction:
     alphas: dict = field(default_factory=dict)
 
 
-def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate, alpha=None) -> PartibleReduction:
+def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate) -> PartibleReduction:
     """Reduce w^m, w = basis_scale*(k - gamma), keeping only same-parity powers.
 
     _back_substitute against adjoint_basis(L, cert) in the centered
     coordinates, where L*(x_j) has only powers of the parity of d+j, so
     the u_i left below degree d share the parity of m.  The identity
-    above, times the common denominator of u, v and alpha, is checked
-    in centered coordinates and ring arithmetic before returning.  alpha
-    defaults to s -> beta^(s+1), so x_s = beta (beta (k - gamma + J/2))^s.
+    above, times the common denominator of u, v and the alphas, is checked
+    in centered coordinates and ring arithmetic before returning.  The
+    scaling is alphas[s] = beta^(s+1), so x_s = beta (beta (k - gamma + J/2))^s.
     """
     if m < 0:
         raise ValueError("power must be nonnegative")
     image, d, beta = adjoint_basis(L, cert), cert.d, center_scale(cert.gamma)
-    alpha = alpha or (lambda s: beta ** (s + 1))
     steps, _, remainder = _back_substitute([0] * m + [1], 1, d, image)
     u_coeffs = {i: c for i, c in enumerate(remainder) if c}
     leaks = [d + j for j in steps if (m - d - j) % 2] + [i for i in u_coeffs if (m - i) % 2]
     if leaks:
         raise NotPartible(f"parity leak at degree {max(leaks)} while reducing power {m}")
-    alphas = {j: alpha(j) for j in steps}
+    alphas = {j: beta ** (j + 1) for j in steps}
     v_coeffs = {j: quotient(step, alphas[j]) for j, step in steps.items()}
 
     # the identity times the common denominator D of its coefficients, in Z or Q[z]:

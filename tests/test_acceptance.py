@@ -12,7 +12,7 @@ from partible.congruence import constant_table, derive_constant, sweep
 from partible.operators import ShiftOperator, adjoint_apply, profile, telescope_sum_check
 from partible.poly import Polynomial, parity_support
 from partible.ratfunc import Z
-from partible.reduction import find_gamma, is_partible, partible_reduce, reduce
+from partible.reduction import center_scale, find_gamma, is_partible, partible_reduce, reduce
 from partible.sequences import (
     apery_operator,
     apery_signed_operator,
@@ -182,14 +182,19 @@ def test_criterion_6_property_suites():
                 ok = ok and img.degree == prof.d + s
     _report("criterion 6c: degree law on built-ins + 50 random operators", ok)
 
-    # scaling irrelevance of the u-coefficients
+    # scaling irrelevance of the u-coefficients: with each x_j rescaled to 5/3 (k - gamma + J/2)^j
+    # and v_j inversely, the same u rebuild w^m through adjoint_apply
     ok = True
     for L in (apery_operator(), delannoy_operator()):
         cert = is_partible(L)
+        w = center_scale(cert.gamma) * (K - cert.gamma)
         for m in (4, 7, 11):
-            base = partible_reduce(m, L, cert)
-            other = partible_reduce(m, L, cert, alpha=lambda s: Fraction(5, 3))
-            ok = ok and base.u_coeffs == other.u_coeffs
+            red = partible_reduce(m, L, cert)
+            rebuilt = sum((u * w ** i for i, u in red.u_coeffs.items()), 0 * K)
+            for j, v in red.v_coeffs.items():
+                x = Fraction(5, 3) * (K - cert.gamma + Fraction(cert.order, 2)) ** j
+                rebuilt += v * red.alphas[j] / Fraction(5, 3) * adjoint_apply(L, x)
+            ok = ok and rebuilt == w ** m
     _report("criterion 6d: u-coefficients invariant under basis rescaling", ok)
 
 

@@ -440,27 +440,27 @@ def test_p_max_is_bounded_before_the_sieve(capsys, monkeypatch):
     assert main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5001"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and "--p-max 5001 is above 5000" in captured.err
+    assert captured.err == "error: p = 5001 is above 5000\n"
     with pytest.raises(_SieveReached):
         main(["verify", "--family", "apery", "--r-max", "0", "--p-max", "5000"])
 
 
-class _SweepReached(Exception):
+class _TermsReached(Exception):
     pass
 
 
 def test_z_size_is_bounded_before_any_term(capsys, monkeypatch):
-    # a 200-digit z took 21.9 s to generate 600 terms; the bound refuses it before the sweep starts
-    def sweep(*args, **kwargs):
-        raise _SweepReached
+    # a 200-digit z took 21.9 s to generate 600 terms; the bound refuses it before any term is built
+    def term_lists(*args, **kwargs):
+        raise _TermsReached
 
-    monkeypatch.setattr("partible.cli.sweep", sweep)
+    monkeypatch.setattr(congruence, "term_lists", term_lists)
     argv = ["verify", "--family", "delannoy_poly", "--r-max", "0", "--p-max", "1000", "--z", "2"]
     assert main(argv + [str(2 ** 32 + 1)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == "error: a --z of 33 bits is above 32 bits\n"
+    assert captured.out == "" and captured.err == "error: a z of 33 bits is above 32 bits\n"
     for z in (2 ** 32 - 1, -(2 ** 32 - 1)):
-        with pytest.raises(_SweepReached):
+        with pytest.raises(_TermsReached):
             main(argv + [str(z)])
     proc = _run_cli(argv[:-1] + [str(10 ** 199 + 7), "--json"], timeout=1)
     assert proc.returncode == 2 and proc.stdout == "" and "above 32 bits" in proc.stderr
@@ -469,23 +469,23 @@ def test_z_size_is_bounded_before_any_term(capsys, monkeypatch):
 def test_z_list_is_bounded_before_the_sweep(capsys, monkeypatch):
     # a sweep holds every z's terms at once: five 32-bit z at --p-max 2000 peaked at 68.9 MB, against
     # 40.2 MB with one z's terms alive at a time; the list may hold the terms of one 32-bit z at 5000
-    def sweep(*args, **kwargs):
-        raise _SweepReached
+    def sieve(lo, hi):
+        raise _SieveReached(hi)
 
-    monkeypatch.setattr("partible.cli.sweep", sweep)
+    monkeypatch.setattr(congruence, "primes_in_range", sieve)
     zs = [str(2 ** 32 - d) for d in (1, 5, 17, 65, 99)]
     admitted = [(2500, zs[:4]), (5000, [str(2 ** 15), str(-(2 ** 12))]), (5000, zs[:1]), (2000, zs)]
     refused = [(2500, zs), (5000, [str(2 ** 15), str(-(2 ** 13))]), (5000, zs[:2])]
     argv = ["verify", "--family", "delannoy_poly", "--r-max", "0", "--p-max"]
     for p_max, z in admitted:  # the second list is at the budget
-        with pytest.raises(_SweepReached):
+        with pytest.raises(_SieveReached):
             main(argv + [str(p_max), "--z", *z])
     for p_max, z in refused:
         assert main(argv + [str(p_max), "--z", *z]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            f"error: the terms of {len(z)} --z values at --p-max {p_max} are above those of one "
-            f"32-bit z at --p-max 5000\n")
+            f"error: the terms of {len(z)} z values at p = {p_max} are above those of one "
+            f"32-bit z at p = 5000\n")
 
 
 class _ReductionReached(Exception):

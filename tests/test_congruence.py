@@ -5,6 +5,8 @@ import itertools
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -18,7 +20,6 @@ from partible.congruence import (
     _add_coprime,
     _denominator_content,
     _power,
-    _prime_factors,
     constant_table,
     derive_constant,
     odd_power_sum_zero,
@@ -117,11 +118,22 @@ def test_add_coprime_splits_shared_factors():
     assert support == {p, q, r}
 
 
+def _trial_factors(n: int) -> set[int]:
+    """The primes below _TRIAL_LIMIT dividing n, by trial division, plus what is left of n."""
+    out, f = set(), 2
+    while f * f <= n and f < congruence._TRIAL_LIMIT:
+        while n % f == 0:
+            out.add(f)
+            n //= f
+        f += 1 if f == 2 else 2
+    return out | {n} - {1}
+
+
 def _per_entry_support(dens) -> set:
     """Each denominator trial-divided on its own, then added prime by prime."""
     support = set()
     for n in dens:
-        for q in _prime_factors(n):
+        for q in _trial_factors(n):
             _add_coprime(support, q)
     return support
 
@@ -397,9 +409,64 @@ def test_float_z_and_terms_raise_and_bool_z_is_refused():
 
 
 def test_sweep_refuses_a_repeated_z():
-    # each cell is checked and counted once
+    # each cell is checked and counted once; the message names the first repeat
     with pytest.raises(HypothesisViolation, match="z=1 more than once"):
         sweep("delannoy_poly", 0, 7, z_values=[1, 3, 1])
+    with pytest.raises(HypothesisViolation, match="z=3 more than once"):
+        sweep("delannoy_poly", 0, 7, z_values=[1, 3, 3, 1])
+
+
+class _Reached(Exception):
+    pass
+
+
+_ENTRY_POINTS = {
+    "sweep": lambda r, p, zs: sweep("delannoy_poly", r, p, z_values=zs),
+    "verify": lambda r, p, zs: verify("delannoy_poly", r, p, z=zs[0]),
+    "constant_table": lambda r, p, zs: constant_table("delannoy_poly", r, z=zs[0]),
+    "derive_constant": lambda r, p, zs: derive_constant("delannoy_poly", r, z=zs[0]),
+}
+_Z32 = [2 ** 32 - d for d in (1, 5, 17, 65, 99)]
+_BOUNDS = [  # (r, p, zs, the refusal or None when admitted, the entry points it holds at)
+    (-1, 7, [2], "^r must be nonnegative$", _ENTRY_POINTS),
+    (500, 7, [2], "^r = 500 needs the power 1002, above 1000$", _ENTRY_POINTS),
+    (499, 4999, _Z32[:1], None, _ENTRY_POINTS),
+    (0, 5003, [2], "^p = 5003 is above 5000$", ("sweep", "verify")),
+    (0, 7, [2 ** 32 + 1], "^a z of 33 bits is above 32 bits$", ("sweep", "verify")),
+    (0, 5003, [2 ** 32 + 1], None, ("constant_table", "derive_constant")),  # no terms, no p
+    (0, 2500, _Z32, "^the terms of 5 z values at p = 2500 are above those of one 32-bit z at "
+                    "p = 5000$", ("sweep",)),
+    (0, 5000, [2 ** 15, -(2 ** 12)], None, ("sweep",)),  # at the budget
+]
+
+
+@pytest.mark.parametrize("name", _ENTRY_POINTS)
+def test_every_bound_raises_before_any_sieve_term_or_reduction(monkeypatch, name):
+    # _rule decides every size bound of the four entry points, before the work it bounds starts
+    def reached(*args, **kwargs):
+        raise _Reached
+
+    for target in ("primes_in_range", "term_lists", "builtin", "normal_forms"):
+        monkeypatch.setattr(congruence, target, reached)
+    for r, p, zs, refusal, names in _BOUNDS:
+        if name not in names:
+            continue
+        with pytest.raises(_Reached if refusal is None else ValueError, match=refusal):
+            _ENTRY_POINTS[name](r, p, zs)
+
+
+def _python(code: str, timeout: float):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=timeout)
+
+
+def test_large_requests_end_in_time():
+    # each call runs for a minute or more if p is not bounded before the terms, or if the
+    # repeated-z check is quadratic in the number of z
+    proc = _python("from partible import verify; verify('apery', 0, 5003)", timeout=1)
+    assert proc.returncode == 1 and "ValueError: p = 5003 is above 5000" in proc.stderr
+    proc = _python("from partible.congruence import _rule; "
+                   "_rule('delannoy_poly', None, 0, list(range(1, 100_001)), 7)", timeout=1)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_matches_direct_verify():

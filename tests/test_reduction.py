@@ -413,19 +413,22 @@ def test_scaling_rule_and_invariance():
     L = apery_operator()
     cert = is_partible(L)
     assert center_scale(cert.gamma) == 2
-    base = partible_reduce(9, L, cert)
-    other = partible_reduce(9, L, cert, alpha=lambda s: Fraction(3, 7))
-    assert base.u_coeffs == other.u_coeffs
-    for j, v in base.v_coeffs.items():
-        # v_j rescales inversely with alpha_j
-        assert other.v_coeffs[j] == v * base.alphas[j] / Fraction(3, 7)
+    red = partible_reduce(9, L, cert)
+    assert red.alphas == {j: 2 ** (j + 1) for j in red.v_coeffs}
+    # the u do not depend on the scaling: with x_j = 3/7 (k + 3/2)^j, v_j rescaled inversely with
+    # alpha_j and the same u rebuild (2k+1)^9 through adjoint_apply
+    rebuilt = sum((u * (2 * K + 1) ** i for i, u in red.u_coeffs.items()), 0 * K)
+    for j, v in red.v_coeffs.items():
+        x = Fraction(3, 7) * (K + Fraction(3, 2)) ** j
+        rebuilt += v * red.alphas[j] / Fraction(3, 7) * adjoint_apply(L, x)
+    assert rebuilt == (2 * K + 1) ** 9
 
 
 def test_integrality_of_adjoint_basis_coefficients():
     L = apery_operator()
     cert = is_partible(L)
     for s in range(13):
-        # x_s = 2 (2k+3)^s, the default scaling beta^(s+1) with beta = 2
+        # x_s = 2 (2k+3)^s, the scaling beta^(s+1) with beta = 2
         assert partible_reduce(s + 3, L, cert).alphas[s] == 2 ** (s + 1)
         coeffs = _basis_image(L, cert, s, 2 ** (s + 1))
         assert all(Fraction(c).denominator == 1 for c in coeffs)
@@ -556,7 +559,7 @@ def _oracle_reduce(Q, L):
 
 def _oracle_partible_reduce(m, L, cert):
     beta = center_scale(cert.gamma)
-    alpha = lambda s: beta ** (s + 1)  # partible_reduce's default scaling
+    alpha = lambda s: beta ** (s + 1)  # partible_reduce's scaling
     coeffs = [Fraction(0)] * m + [Fraction(beta) ** m]
     lin = K - cert.gamma + Fraction(cert.order, 2)
     # image j: L*(lin^j) at k = gamma + t, in powers of t
