@@ -15,7 +15,7 @@ import sys
 from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import parse_polynomial, poly_to_text
-from .reduction import gamma_candidates, is_partible, reduce
+from .reduction import certificate, gamma_candidates, reduce
 from .sequences import guess_annihilator
 
 
@@ -47,7 +47,7 @@ def cmd_profile(args) -> int:
 def cmd_gamma(args) -> int:
     L = _load_operator(args.operator)
     candidates = gamma_candidates(L)
-    cert = is_partible(L)
+    cert = certificate(L, candidates)
     data = {
         "gamma": str(candidates[0]) if candidates else None,
         "candidates": [str(c) for c in candidates],

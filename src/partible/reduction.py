@@ -184,16 +184,18 @@ class PartibleCertificate:
     order: int
 
 
+def certificate(L: ShiftOperator, candidates: list) -> PartibleCertificate | None:
+    """The certificate of L from its gamma_candidates(L): None without a center or when L is degenerate."""
+    prof = operator_profile(L)
+    if prof.roots or not candidates:
+        return None
+    return PartibleCertificate(candidates[0], prof.d, L.order)
+
+
 @functools.lru_cache(maxsize=8)
 def is_partible(L: ShiftOperator) -> PartibleCertificate | None:
     """The certificate of a nondegenerate operator with a symmetry center."""
-    prof = operator_profile(L)
-    if prof.roots:
-        return None
-    gamma = find_gamma(L)
-    if gamma is None:
-        return None
-    return PartibleCertificate(gamma, prof.d, L.order)
+    return certificate(L, gamma_candidates(L))
 
 
 # -- parity-preserving reduction ----------------------------------------------

@@ -138,39 +138,80 @@ def term_lists(name: str, n: int, zs) -> list[list]:
 
 # -- recurrence guessing -------------------------------------------------------
 
+#: the most work a guess may estimate for its eliminations, as if every ansatz had full rank: step s
+#: of order o updates (n-o-s)(c-s) entries, c = (o+1)(max_deg+1), each a minor of s+1 rows of at most
+#: s bits(terms) + s^2 bits(n) / (2o+2) bits, squared as an exact division is quadratic, with 400 bits
+#: for the interpreter's cost of one update.  On a 2-vCPU host, random terms at the bound took 19-23 s
+#: at every shape tried, the slowest 89 terms of 171 digits at (29, 0); 90 random 12-digit terms at
+#: (6, 10) (1.4e12) took 2.5-2.8 s, and apery_terms(68) at (2, 20) (7.3e12) 0.2 s, as its order-2 pass
+#: stops at degree 3
+MAX_GUESS_WORK = 8 * 10 ** 12
 
-def _nullspace_solution(terms, order: int, deg: int):
-    """First canonical nullspace vector of the ansatz system, as integers, or None.
 
-    Unknowns are the coefficients c[i][t] of sum_i sum_t c[i][t] k^t F(k+i),
-    ordered by (i, t); rows range over every k the integer term list
-    supports.  Bareiss elimination (each step divides exactly by the
-    previous pivot) stops at the first column `free` without a pivot: the
-    null vector supported on columns 0..free is unique up to scale, so it
-    is the one a full Gauss-Jordan reduction would give.  With sol[free]
-    set to the last pivot, Cramer's rule makes every sol[j] an integer, so
-    the back-substitution divides exactly too.
+def _check_work(terms, max_order: int, max_deg: int) -> None:
+    """ValueError when the eliminations of a guess on the integer terms are above MAX_GUESS_WORK."""
+    n, bits = len(terms), max(map(int.bit_length, terms))
+    work = 0
+    for o in range(max_order + 1):
+        c = (o + 1) * (max_deg + 1)
+        for s in range(1, c):
+            minor = s * bits + s * s * n.bit_length() // (2 * o + 2)
+            work += (n - o - s) * (c - s) * (400 + minor) ** 2
+            if work > MAX_GUESS_WORK:
+                raise ValueError(f"a guess at order {max_order}, degree {max_deg} on {n} terms of up to "
+                                 f"{bits} bits is above the work bound {MAX_GUESS_WORK:.0e}")
+
+
+def _eliminate(rows, ncols: int):
+    """Bareiss elimination of the integer rows, in place: the first column without a pivot, or None.
+
+    Rows are pivoted to put a nonzero entry on the diagonal, and each step
+    divides exactly by the previous pivot, so every entry stays an integer.
+    Column c has no pivot exactly when it depends on columns 0..c-1.
     """
-    ncols = (order + 1) * (deg + 1)
-    rows = []
-    for k in range(len(terms) - order):
-        powers = [k ** t for t in range(deg + 1)]
-        rows.append([p * terms[k + i] for i in range(order + 1) for p in powers])
     prev = 1
     for free in range(ncols):
         pr = next((i for i in range(free, len(rows)) if rows[i][free]), None)
         if pr is None:
-            break
+            return free
         rows[free], rows[pr] = rows[pr], rows[free]
         p, tail = rows[free][free], rows[free][free + 1 :]
         for row in rows[free + 1 :]:
             f = row[free]
             row[free + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[free + 1 :], tail)]
         prev = p
-    else:
+    return None
+
+
+def _ansatz_rows(terms, order: int, deg: int, degree_major: bool = False) -> list:
+    """Row k of the ansatz system: k^t F(k+i) over columns (i, t), or (t, i) when degree_major."""
+    rows = []
+    for k in range(len(terms) - order):
+        powers = [k ** t for t in range(deg + 1)]
+        shifts = terms[k : k + order + 1]
+        rows.append([p * f for p in powers for f in shifts] if degree_major
+                    else [p * f for f in shifts for p in powers])
+    return rows
+
+
+def _nullspace_solution(terms, order: int, deg: int):
+    """First canonical nullspace vector of the ansatz system, as integers, or None.
+
+    Unknowns are the coefficients c[i][t] of sum_i sum_t c[i][t] k^t F(k+i),
+    ordered by (i, t); rows range over every k the integer term list
+    supports.  Elimination stops at the first column `free` without a
+    pivot: the null vector supported on columns 0..free is unique up to
+    scale, so it is the one a full Gauss-Jordan reduction would give.  With
+    sol[free] set to the last pivot, Cramer's rule makes every sol[j] an
+    integer, so the back-substitution divides exactly too.
+    """
+    ncols = (order + 1) * (deg + 1)
+    rows = _ansatz_rows(terms, order, deg)
+    free = _eliminate(rows, ncols)
+    if free is None:
         return None
     sol = [0] * ncols
-    sol[free] = prev
+    sol[free] = rows[free - 1][free - 1] if free else 1
     for j in range(free - 1, -1, -1):
         row = rows[j]
         sol[j] = -sum(row[c] * sol[c] for c in range(j + 1, free + 1)) // row[j]
@@ -190,7 +231,10 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     order, and the winner is normalized to coprime integer coefficients
     with a positive leading coefficient.  None when only the zero
     operator fits.  Rational terms are scaled once by their common
-    denominator, which changes no annihilator.
+    denominator, which changes no annihilator.  Each order takes one
+    elimination to find its least degree with a null vector, and the
+    exact solve runs from that degree up.  ValueError when the work is
+    above MAX_GUESS_WORK, before any row is built.
     """
     if max_order < 0 or max_deg < 0:
         raise ValueError("the order and degree bounds must be nonnegative")
@@ -198,11 +242,16 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     if len(terms) < need:
         raise InsufficientTerms(f"need at least {need} terms, got {len(terms)}")
     terms, _ = clear_denominators([scalar(t) for t in terms])
+    _check_work(terms, max_order, max_deg)
     for order in range(max_order + 1):
-        for deg in range(max_deg + 1):
-            sol = _nullspace_solution(terms, order, deg)
-            if sol is not None:
-                cand = _normalized_operator(sol, deg)
-                if annihilates(cand, terms):
-                    return cand
+        # with columns in (t, i) order the ansatz of each degree is a prefix of the next, so one
+        # elimination finds the first dependent column: every lower degree has full column rank
+        free = _eliminate(_ansatz_rows(terms, order, max_deg, degree_major=True),
+                          (order + 1) * (max_deg + 1))
+        if free is None:
+            continue
+        for deg in range(free // (order + 1), max_deg + 1):
+            cand = _normalized_operator(_nullspace_solution(terms, order, deg), deg)
+            if annihilates(cand, terms):
+                return cand
     return None

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from partible import congruence
+from partible import congruence, reduction
 from partible.cli import main
 from partible.congruence import CongruenceReport
 from partible.exact import primes_in_range
@@ -126,6 +126,22 @@ def test_gamma_command_centers(operator, expected, tmp_path, capsys):
     path.write_text(json.dumps(operator))
     assert main(["gamma", "--operator", str(path)]) == 0
     assert json.loads(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("coeffs, partible", [
+    (APERY_JSON["coeffs"], True),
+    (["2*k+1", "k+3"], False),  # nondegenerate, and its one candidate center fails the mirror check
+    (["k+1", "-(k+3)"], False),  # a center, but indicator root 0
+], ids=["partible", "no-center", "degenerate"])
+def test_gamma_command_checks_the_mirror_once(coeffs, partible, tmp_path, capsys, monkeypatch):
+    calls = []
+    mirrored = reduction._mirrored
+    monkeypatch.setattr(reduction, "_mirrored", lambda *args: calls.append(args) or mirrored(*args))
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps({"order": len(coeffs) - 1, "coeffs": coeffs, "field": "Q"}))
+    assert main(["gamma", "--operator", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["partible"] is partible
+    assert len(calls) == 1
 
 
 def test_reduce_command(apery_file, capsys):
