@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import is_prime, legendre_symbol, primes_in_range, rational_to_residue
 from .poly import MAX_EXPONENT
@@ -45,8 +44,7 @@ def _require(condition: bool, message: str):
         raise HypothesisViolation(message)
 
 
-@dataclass(frozen=True)
-class _Rule:
+class _Rule(NamedTuple):
     """The hypotheses and right side of one family's congruences."""
 
     e: int  # the congruences hold modulo p^e
@@ -137,13 +135,12 @@ def derive_constant(family: str, r: int, z=None, power_parity: str | None = None
     return _constants(family, r, z, power_parity)[r]
 
 
-@dataclass
-class ConstantTable:
+class ConstantTable(NamedTuple):
     """Constants c_r for one family plus their denominator structure."""
 
     family: str
-    entries: dict = field(default_factory=dict)
-    denominator_support: set = field(default_factory=set)
+    entries: dict
+    denominator_support: set
     z_in_denominator: bool = False
 
 
@@ -226,18 +223,17 @@ def _constants(family: str, r_max: int, z, power_parity: str | None) -> dict:
 def constant_table(family: str, r_max: int, z=None) -> ConstantTable:
     """derive_constant's c_r for r <= r_max, inputs checked first, and their denominators' support:
     the sieve's primes below _TRIAL_LIMIT dividing their lcm, refined by each whole denominator."""
-    table = ConstantTable(family, _constants(family, r_max, z, None))
-    dens = [_denominator_content(c) for c in table.entries.values()]
+    entries = _constants(family, r_max, z, None)
+    dens = [_denominator_content(c) for c in entries.values()]
     lcm = math.lcm(*dens)
+    support = set()
     for n in [*(q for q in primes_in_range(2, min(lcm, _TRIAL_LIMIT)) if lcm % q == 0), *dens]:
-        _add_coprime(table.denominator_support, n)
-    table.z_in_denominator = any(isinstance(c, RationalFunction) and len(c.den) > 1
-                                 for c in table.entries.values())
-    return table
+        _add_coprime(support, n)
+    return ConstantTable(family, entries, support,
+                         any(isinstance(c, RationalFunction) and len(c.den) > 1 for c in entries.values()))
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """One verified congruence cell; lhs and rhs are None when the cell raised."""
 
     family: str
@@ -254,10 +250,13 @@ class CongruenceReport:
 
     def to_dict(self) -> dict:
         """The fields in order, elapsed rounded to 6 places, z and error omitted when None."""
-        out = {**vars(self), "elapsed": round(self.elapsed, 6)}
-        for name in ("z", "error"):
-            if out[name] is None:
-                del out[name]
+        family, r, p, e, power, lhs, rhs, passed, elapsed, z, error = self
+        out = {"family": family, "r": r, "p": p, "e": e, "power": power, "lhs": lhs, "rhs": rhs,
+               "passed": passed, "elapsed": round(elapsed, 6)}
+        if z is not None:
+            out["z"] = z
+        if error is not None:
+            out["error"] = error
         return out
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import is_prime
 from .poly import Polynomial, parse_polynomial, poly_to_text
@@ -73,8 +73,7 @@ def adjoint_apply(L: ShiftOperator, x) -> Polynomial:
     return total
 
 
-@dataclass(frozen=True)
-class ReductionProfile:
+class ReductionProfile(NamedTuple):
     """Degree data of an operator.
 
     d bounds deg L*(x) via deg L*(x) <= d + deg x, with equality exactly

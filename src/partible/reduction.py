@@ -18,8 +18,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
@@ -31,8 +31,7 @@ class NotPartible(ValueError):
     """The operator lacks the symmetry the parity reduction requires."""
 
 
-@dataclass
-class ReductionResult:
+class ReductionResult(NamedTuple):
     """Q = L*(x) + sum_{s in roots} exceptional[s] * k^(d+s) + remainder."""
 
     x: Polynomial
@@ -175,8 +174,7 @@ def find_gamma(L: ShiftOperator):
     return candidates[0] if candidates else None
 
 
-@dataclass(frozen=True)
-class PartibleCertificate:
+class PartibleCertificate(NamedTuple):
     """Witness that an operator is power-partible: its center, degree, order."""
 
     gamma: object
@@ -241,8 +239,7 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
     return image
 
 
-@dataclass
-class PartibleReduction:
+class PartibleReduction(NamedTuple):
     """Exact decomposition of a power of the scaled centered variable.
 
     With w = basis_scale * (k - gamma):
@@ -258,7 +255,7 @@ class PartibleReduction:
     basis_scale: int
     u_coeffs: dict
     v_coeffs: dict
-    alphas: dict = field(default_factory=dict)
+    alphas: dict
 
 
 def partible_reduce(m: int, L: ShiftOperator, cert: PartibleCertificate) -> PartibleReduction:

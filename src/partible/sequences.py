@@ -9,9 +9,9 @@ binomial product, not of the sums, whose recurrence is never used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from operator import floordiv, mul
+from typing import NamedTuple
 
 from .operators import InsufficientTerms, ShiftOperator, annihilates
 from .poly import Polynomial
@@ -105,8 +105,7 @@ _FAMILIES = dict(
 )
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class SequenceFamily(NamedTuple):
     """A named sequence with its definition-based generator and annihilator."""
 
     name: str

@@ -335,6 +335,14 @@ def test_console_entry_point():
     assert "unrecognized arguments: --jobs" in proc.stderr
 
 
+def test_cli_imports_neither_dataclasses_nor_inspect():
+    # a CLI call pays for its imports first; dataclasses pulls in inspect, ast and dis
+    code = "import sys, partible.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _run_cli(args, timeout=10):
     """python -m partible.cli under a timeout, so a hang fails the test."""
     return subprocess.run([sys.executable, "-m", "partible.cli", *args],

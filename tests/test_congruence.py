@@ -1,6 +1,5 @@
 """Constant derivation and exact congruence verification."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -86,6 +85,16 @@ def test_constant_table_denominator_structure():
         assert not isinstance(c, RationalFunction) or not any(c.den[:-1])
         n = _denominator_content(c)
         assert n & (n - 1) == 0
+
+
+def test_constant_tables_share_no_mutable_state():
+    # a table is a named tuple, so a mutable field default would be shared by every table
+    first = constant_table("apery_signed", 4)
+    assert first.denominator_support == {3}
+    second = constant_table("delannoy_poly", 4, z=6)
+    assert first.entries is not second.entries
+    assert first.denominator_support is not second.denominator_support
+    assert (first.denominator_support, second.denominator_support) == ({3}, {2, 3})
 
 
 def test_denominator_support_is_pairwise_coprime():
@@ -223,12 +232,12 @@ def test_verify_reports_a_raising_right_side(monkeypatch):
 
 
 def _fields_dict(rep):
-    """to_dict's reference: the dataclass fields in order, elapsed rounded, z and error dropped when None."""
+    """to_dict's reference: the fields in order, elapsed rounded, z and error dropped when None."""
     out = {}
-    for f in dataclasses.fields(rep):
-        value = getattr(rep, f.name)
-        if value is not None or f.default is not None:
-            out[f.name] = round(value, 6) if f.name == "elapsed" else value
+    for name in rep._fields:
+        value = getattr(rep, name)
+        if value is not None or name not in rep._field_defaults or rep._field_defaults[name] is not None:
+            out[name] = round(value, 6) if name == "elapsed" else value
     return out
 
 
@@ -238,10 +247,10 @@ def test_report_to_dict_matches_its_fields(monkeypatch):
     reports += [verify("apery", 1, 7), verify("delannoy_poly", 1, 7, z=-3, power_parity="even")]
     assert [(rep.passed, rep.z, rep.error is None) for rep in reports] == [
         (True, None, True), (True, -3, True), (False, None, False), (False, -3, False)]
-    for rep in reports + [dataclasses.replace(reports[0], elapsed=0.123456789)]:
+    for rep in reports + [reports[0]._replace(elapsed=0.123456789)]:
         out = rep.to_dict()
         assert json.dumps(out) == json.dumps(_fields_dict(rep))
-        assert out is not vars(rep) and out["elapsed"] == round(rep.elapsed, 6)
+        assert out is not rep.to_dict() and out["elapsed"] == round(rep.elapsed, 6)
 
 
 @pytest.mark.parametrize("k0", [18, 22])
@@ -531,7 +540,7 @@ def test_constant_table_matches_derive_constant_at_every_r(family, r_max, z):
 def test_vanishing_parity_is_checked_against_the_certificate(monkeypatch):
     # apery has d = 3, so its odd powers keep the coefficient of w^1: declaring that sum
     # vanishing must fail, not return zeros
-    monkeypatch.setitem(_RULES, "apery", dataclasses.replace(_RULES["apery"], parities={"odd": None}))
+    monkeypatch.setitem(_RULES, "apery", _RULES["apery"]._replace(parities={"odd": None}))
     for call in (lambda: constant_table("apery", 2), lambda: sweep("apery", 2, 7),
                  lambda: derive_constant("apery", 2)):
         with pytest.raises(AssertionError, match="keeps odd powers below d = 3"):
@@ -601,11 +610,11 @@ def _plus_one_at(i):
     pytest.param(lambda monkeypatch: _tamper_image(monkeypatch, "apery", 4, lambda I: I + [1]),
                  "power 7 failed the residual audit", id="one degree too long"),
     # a certificate of d = 5 keeps w^1 and w^3 below d at the odd powers, against the one survivor 1
-    (lambda monkeypatch: monkeypatch.setattr(congruence, "is_partible", lambda L: dataclasses.replace(
-        is_partible(L), d=5)), r"unexpected surviving powers \[3\]"),
+    (lambda monkeypatch: monkeypatch.setattr(
+        congruence, "is_partible", lambda L: is_partible(L)._replace(d=5)), r"unexpected surviving powers \[3\]"),
     # apery's odd powers keep w^1 below d = 3, so a survivor w^3 is refused before any pass
     (lambda monkeypatch: monkeypatch.setitem(
-        _RULES, "apery", dataclasses.replace(_RULES["apery"], parities={"odd": 3})), r"below d = 3: \[1\]")])
+        _RULES, "apery", _RULES["apery"]._replace(parities={"odd": 3})), r"below d = 3: \[1\]")])
 def test_constant_table_audits_its_pass(monkeypatch, patch, match):
     family = patch(monkeypatch) or "apery"
     with pytest.raises(AssertionError, match=match):

@@ -1,6 +1,5 @@
 """Reduction modulo S_L, symmetry centers, parity-preserving reduction."""
 
-import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +17,8 @@ from partible.ratfunc import RationalFunction, Z, _mul, clear_denominators, quot
 from partible.reduction import (
     NotPartible,
     PartibleCertificate,
+    PartibleReduction,
+    ReductionResult,
     center_scale,
     find_gamma,
     gamma_candidates,
@@ -638,12 +639,10 @@ def _queries(draw):
 
 
 def _coefficients(value):
-    """Every number held by a result: in its polynomials, dicts, sequences and fields."""
+    """Every number held by a result: in its polynomials, dicts and sequences, the results'
+    named tuples among them, so every field is visited in order."""
     if isinstance(value, Polynomial):
         yield from value.coeffs
-    elif dataclasses.is_dataclass(value):
-        for f in dataclasses.fields(value):
-            yield from _coefficients(getattr(value, f.name))
     elif isinstance(value, dict):
         for v in value.values():
             yield from _coefficients(v)
@@ -652,6 +651,13 @@ def _coefficients(value):
             yield from _coefficients(v)
     elif value is not None:
         yield value
+
+
+def test_coefficients_walk_every_field_of_a_result():
+    result = ReductionResult(Polynomial([1, 2]), {3: Fraction(1, 2)}, Polynomial([5]))
+    assert list(_coefficients(result)) == [1, 2, Fraction(1, 2), 5]
+    red = PartibleReduction(4, Fraction(-1, 2), 2, {0: 7}, {1: 3}, {1: 4})
+    assert list(_coefficients(red)) == [4, Fraction(-1, 2), 2, 7, 3, 4]
 
 
 def _exact_kind(c) -> bool:
