@@ -3,14 +3,15 @@
 Every coefficient is held in the stored form of ratfunc.scalar: an int
 when integral, a Fraction for any other rational, and a RationalFunction
 only when it depends on z, so a constant of Q(z) is stored as its
-rational and the kinds may mix within one polynomial.  The common
-integer case thus runs on int arithmetic.  All arithmetic stays exact
-and runs on the coefficient-tuple kernel of the ratfunc module.  Powers
-and Taylor shifts take one path over both fields: they clear the
-denominators, work in Z or Z[z], and divide back once.  The same
-class also serves for polynomials in other formal variables (the
-indicator variable s, the symmetry-center unknown), since the variable
-name only matters when printing.
+rational and the kinds may mix.  All arithmetic stays exact and runs
+on the coefficient-tuple kernel of the ratfunc module, so the common
+integer case runs on int arithmetic; the text parser works on those
+tuples too and wraps one Polynomial per text.  Powers and Taylor
+shifts take one path over both fields: they clear the denominators,
+work in Z or Z[z], and divide back once.  The class also serves for
+polynomials in other formal variables (the indicator variable s, the
+symmetry-center unknown), since the variable name only matters when
+printing.
 """
 
 from __future__ import annotations
@@ -166,15 +167,8 @@ class Polynomial:
 
 def parity_support(coeffs) -> str:
     """Which index parities carry nonzero coefficients: even/odd/mixed/zero."""
-    has_even = any(c for i, c in enumerate(coeffs) if i % 2 == 0)
-    has_odd = any(c for i, c in enumerate(coeffs) if i % 2 == 1)
-    if has_even and has_odd:
-        return "mixed"
-    if has_even:
-        return "even"
-    if has_odd:
-        return "odd"
-    return "zero"
+    even, odd = any(coeffs[0::2]), any(coeffs[1::2])
+    return ("mixed" if odd else "even") if even else ("odd" if odd else "zero")
 
 
 # -- text form --------------------------------------------------------------
@@ -196,98 +190,104 @@ MAX_POWER_BITS = 10 ** 7
 MAX_NESTING = 100
 
 
-def _z_degree_and_bits(p: Polynomial) -> tuple[int, int]:
-    """The largest degree in z of p's coefficients, and b: each rational in p^n has <= n*b bits."""
-    parts = [part for c in p.coeffs
-             for part in ((c.num, c.den) if isinstance(c, RationalFunction) else ((c,),))]
-    numbers = [x for part in parts for x in part]
-    bits = max([x.numerator.bit_length() + x.denominator.bit_length() for x in numbers], default=0)
-    return max(map(len, parts), default=1) - 1, bits + len(numbers).bit_length()
+def _z_degree_and_bits(coeffs) -> tuple[int, int]:
+    """The largest degree in z of coeffs, in stored form, and b: each rational in p^n has <= n*b bits."""
+    zdeg, numbers = 0, []
+    for c in coeffs:
+        if type(c) is RationalFunction:
+            zdeg = max(zdeg, len(c.num) - 1, len(c.den) - 1)
+            numbers += c.num + c.den
+        else:
+            numbers.append(c)
+    bits = max([x.bit_length() + 1 if type(x) is int else x.numerator.bit_length() + x.denominator.bit_length()
+                for x in numbers], default=0)
+    return zdeg, bits + len(numbers).bit_length()
 
 
-#: one token: a run of decimal digits or any other single character, after any whitespace
-_TOKEN = re.compile(r"\s*(\d+|\S)")
+#: one token: a run of decimal digits or any other single character but whitespace
+_TOKEN = re.compile(r"\d+|\S")
 
 
 class _Parser:
-    """Recursive descent over the tokens of one text; columns[i] is where tokens[i] starts."""
+    """Recursive descent over the tokens of one text, on trimmed coefficient tuples of the
+    ratfunc kernel; parse() wraps the result in one Polynomial.  Entries are put in stored form
+    only where a check reads them, and a token's column is found only for an error."""
 
     def __init__(self, text: str, field: str):
         if field not in ("Q", "Q(z)"):
             raise ValueError(f"unknown field {field!r}")
-        self.tokens, self.columns = [], []
-        for match in _TOKEN.finditer(text):
-            self.tokens.append(match[1])
-            self.columns.append(match.start(1))
-        self.tokens.append("")  # end of input
-        self.columns.append(len(text))
-        self.field = field
-        self.i = 0
-        self.depth = 0
+        self.text, self.tokens = text, _TOKEN.findall(text) + [""]  # "" ends the input
+        self.field, self.i, self.depth = field, 0, 0
 
-    def error(self, message, at=None):
-        raise PolynomialSyntaxError(message, (self.columns[self.i] if at is None else at) + 1)
+    def error(self, message, at=None, offset=0):
+        # the column offset past the start of tokens[at], by default the current token, by one rescan
+        starts = [match.start() for match in _TOKEN.finditer(self.text)] + [len(self.text)]
+        raise PolynomialSyntaxError(message, starts[self.i if at is None else at] + offset + 1)
 
     def parse(self) -> Polynomial:
         value = self.expr()
         if self.tokens[self.i]:
             self.error(f"unexpected {self.tokens[self.i][0]!r}")
-        return value
+        return Polynomial(value)
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> tuple:
         value = self.term()
         while (sign := self.tokens[self.i]) in ("+", "-"):
             self.i += 1
-            value = value + self.term() if sign == "+" else value - self.term()
+            value = _add(value, self.term() if sign == "+" else _neg(self.term()))
         return value
 
-    def term(self) -> Polynomial:
+    def term(self) -> tuple:
         value = self.factor()
         while True:
             token = self.tokens[self.i]
             if token == "*":
                 self.i += 1
-                value = value * self.factor()
+                rhs = self.factor()
+                value = _scale(rhs, value[0]) if len(value) == 1 else _mul(value, rhs)
             elif token == "/":
-                self.i += 1
-                at = self.columns[self.i - 1] + 1  # just after the '/'
+                slash, self.i = self.i, self.i + 1
                 divisor = self.factor()
-                if divisor.degree > 0:
-                    self.error("division by a non-constant polynomial", at)
-                if divisor.is_zero:
-                    self.error("division by zero", at)
-                value = value * (Fraction(1) / divisor.coefficient(0))
+                if len(divisor) > 1:
+                    self.error("division by a non-constant polynomial", slash, 1)
+                if not divisor:
+                    self.error("division by zero", slash, 1)
+                value = _scale(value, Fraction(1) / scalar(divisor[0]))
             else:
                 return value
 
-    def factor(self) -> Polynomial:
+    def factor(self) -> tuple:
         negate = False
-        while self.tokens[self.i] in ("-", "+"):
-            negate ^= self.tokens[self.i] == "-"
+        while (token := self.tokens[self.i]) in ("-", "+"):
+            negate ^= token == "-"
             self.i += 1
-        return -self.power() if negate else self.power()
+        value = self.atom()
+        if self.tokens[self.i] == "^":
+            value = self.power(value)
+        return _neg(value) if negate else value
 
-    def power(self) -> Polynomial:
-        base = self.atom()
-        if self.tokens[self.i] != "^":
-            return base
+    def power(self, base: tuple) -> tuple:
+        """base^n for the exponent after the current '^', whose size is checked first."""
         self.i += 1
-        token, at = self.tokens[self.i], self.columns[self.i]
+        token, at = self.tokens[self.i], self.i
         if not token.isdecimal():
             self.error("expected an integer" if token else "missing exponent")
         n = self.number()
         self.i += 1
+        ints = all(type(c) is int for c in base)
+        base = base if ints else tuple(map(scalar, base))
         zdeg, bits = _z_degree_and_bits(base)
-        kdeg, zdeg, bits = n * max(base.degree, 0), n * zdeg, n * bits
+        kdeg, zdeg, bits = n * max(len(base) - 1, 0), n * zdeg, n * bits
         if n > MAX_EXPONENT or max(kdeg, zdeg) > MAX_EXPONENT:
             self.error(f"exponent or power degree above {MAX_EXPONENT}", at)
         if bits > MAX_EXPONENT ** 2:
             self.error(f"power with numbers above {MAX_EXPONENT ** 2} bits", at)
         if (kdeg + 1) * (zdeg + 1) * bits > MAX_POWER_BITS:
             self.error(f"power above {MAX_POWER_BITS} bits in all", at)
-        return base ** n
+        # a base with a Fraction or RationalFunction takes Polynomial.__pow__: one division
+        return _pow(base, n) if ints else (Polynomial(base) ** n).coeffs
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> tuple:
         token = self.tokens[self.i]
         if token == "(":
             if self.depth == MAX_NESTING:
@@ -299,13 +299,13 @@ class _Parser:
                 self.error("expected ')'")
             self.depth -= 1
         elif token.isdecimal():
-            value = Polynomial.constant(self.number())
+            value = (n,) if (n := self.number()) else ()
         elif token == "k":
-            value = Polynomial.variable()
+            value = (0, 1)
         elif token == "z":
             if self.field == "Q":
                 self.error("variable 'z' is not available over Q")
-            value = Polynomial.constant(Z)
+            value = (Z,)
         else:
             self.error(f"unexpected {token!r}" if token else "unexpected end of input")
         self.i += 1

@@ -161,25 +161,30 @@ def _check_work(terms, max_order: int, max_deg: int) -> None:
                                  f"{bits} bits is above the work bound {MAX_GUESS_WORK:.0e}")
 
 
-def _eliminate(rows, ncols: int):
-    """Bareiss elimination of the integer rows, in place: the first column without a pivot, or None.
+def _eliminate(rows, ncols: int, start: int = 0):
+    """Bareiss elimination of the integer rows, in place, up to the first column from `start` without
+    a pivot: that column, or None, and the pivot columns before it, the r-th pivoted in row r.
 
-    Rows are pivoted to put a nonzero entry on the diagonal, and each step
+    Rows are pivoted to put a nonzero entry in the pivot column, and each step
     divides exactly by the previous pivot, so every entry stays an integer.
-    Column c has no pivot exactly when it depends on columns 0..c-1.
+    A column has no pivot exactly when it depends on the pivot columns before it.
     """
-    prev = 1
-    for free in range(ncols):
-        pr = next((i for i in range(free, len(rows)) if rows[i][free]), None)
+    prev, pivots = 1, []
+    for col in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pr is None:
-            return free
-        rows[free], rows[pr] = rows[pr], rows[free]
-        p, tail = rows[free][free], rows[free][free + 1 :]
-        for row in rows[free + 1 :]:
-            f = row[free]
-            row[free + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[free + 1 :], tail)]
+            if col >= start:
+                return col, pivots
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p, tail = rows[r][col], rows[r][col + 1 :]
+        for row in rows[r + 1 :]:
+            f = row[col]
+            row[col + 1 :] = [(p * a - f * b) // prev for a, b in zip(row[col + 1 :], tail)]
         prev = p
-    return None
+        pivots.append(col)
+    return None, pivots
 
 
 def _ansatz_rows(terms, order: int, deg: int, degree_major: bool = False) -> list:
@@ -194,26 +199,29 @@ def _ansatz_rows(terms, order: int, deg: int, degree_major: bool = False) -> lis
 
 
 def _nullspace_solution(terms, order: int, deg: int):
-    """First canonical nullspace vector of the ansatz system, as integers, or None.
+    """The canonical nullspace vector of the ansatz system with a nonzero a_order, as integers, or None.
 
     Unknowns are the coefficients c[i][t] of sum_i sum_t c[i][t] k^t F(k+i),
     ordered by (i, t); rows range over every k the integer term list
-    supports.  Elimination stops at the first column `free` without a
-    pivot: the null vector supported on columns 0..free is unique up to
-    scale, so it is the one a full Gauss-Jordan reduction would give.  With
-    sol[free] set to the last pivot, Cramer's rule makes every sol[j] an
-    integer, so the back-substitution divides exactly too.
+    supports.  Elimination stops at the first column `free` without a pivot
+    in the top block (i = order), as one in a lower block gives a_order = 0:
+    an operator of lower order, which this system checks on too few rows.
+    The null vector supported on `free` and the pivot columns before it is
+    unique up to scale, so it is the one a full Gauss-Jordan reduction would
+    give for that column.  With sol[free] set to the last pivot, Cramer's
+    rule makes every sol[j] an integer, so the back-substitution divides
+    exactly too.
     """
     ncols = (order + 1) * (deg + 1)
     rows = _ansatz_rows(terms, order, deg)
-    free = _eliminate(rows, ncols)
+    free, pivots = _eliminate(rows, ncols, order * (deg + 1))
     if free is None:
         return None
     sol = [0] * ncols
-    sol[free] = rows[free - 1][free - 1] if free else 1
-    for j in range(free - 1, -1, -1):
-        row = rows[j]
-        sol[j] = -sum(row[c] * sol[c] for c in range(j + 1, free + 1)) // row[j]
+    sol[free] = rows[len(pivots) - 1][pivots[-1]] if pivots else 1
+    for r in range(len(pivots) - 1, -1, -1):
+        row, c = rows[r], pivots[r]
+        sol[c] = -sum(row[j] * sol[j] for j in range(c + 1, free + 1)) // row[c]
     return sol
 
 
@@ -245,12 +253,15 @@ def guess_annihilator(terms, max_order: int, max_deg: int) -> ShiftOperator | No
     for order in range(max_order + 1):
         # with columns in (t, i) order the ansatz of each degree is a prefix of the next, so one
         # elimination finds the first dependent column: every lower degree has full column rank
-        free = _eliminate(_ansatz_rows(terms, order, max_deg, degree_major=True),
-                          (order + 1) * (max_deg + 1))
+        free, _ = _eliminate(_ansatz_rows(terms, order, max_deg, degree_major=True),
+                             (order + 1) * (max_deg + 1))
         if free is None:
             continue
         for deg in range(free // (order + 1), max_deg + 1):
-            cand = _normalized_operator(_nullspace_solution(terms, order, deg), deg)
+            sol = _nullspace_solution(terms, order, deg)
+            if sol is None:
+                continue
+            cand = _normalized_operator(sol, deg)
             if annihilates(cand, terms):
                 return cand
     return None

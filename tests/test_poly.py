@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -328,6 +329,34 @@ def test_parse_errors_carry_column():
         assert info.value.column == column
 
 
+@pytest.mark.parametrize("text, field, message, column", [
+    ("1/0", "Q", "division by zero", 3),  # just after the '/'
+    ("k /  0", "Q", "division by zero", 4),
+    ("3*k + 2/(z - z)", "Q(z)", "division by zero", 9),
+    ("k/ (k+1)", "Q", "division by a non-constant polynomial", 3),
+    ("z + 1", "Q", "variable 'z' is not available over Q", 1),
+    ("k + (k+1", "Q", "expected ')'", 9),
+    ("k +", "Q", "unexpected end of input", 4),
+    ("k + 1 /", "Q", "unexpected end of input", 8),
+    ("k^", "Q", "missing exponent", 3),
+    ("k^-1", "Q", "expected an integer", 3),
+    ("(k+1))", "Q", "unexpected ')'", 6),
+    ("k  k", "Q", "unexpected 'k'", 4),
+    ("k^1001", "Q", "exponent or power degree above 1000", 3),
+    ("(2^1000)^1000", "Q", "power with numbers above 1000000 bits", 10),
+    ("(2^900*k+1)^999", "Q", "power above 10000000 bits in all", 13),
+    ("(z^999)^2", "Q(z)", "exponent or power degree above 1000", 9),
+    ("(2^1000*z)^1000", "Q(z)", "power with numbers above 1000000 bits", 12),
+    ("(k+z)^1000", "Q(z)", "power above 10000000 bits in all", 7),
+    ("k + " + "(" * 101 + "k" + ")" * 101, "Q", "parentheses nested deeper than 100", 105),
+])
+def test_every_parse_error_names_its_column(text, field, message, column):
+    # columns are found only when an error is raised, by a rescan of the text
+    with pytest.raises(PolynomialSyntaxError) as info:
+        parse_polynomial(text, field)
+    assert str(info.value) == f"{message} (column {column})" and info.value.column == column
+
+
 def test_numbers_past_the_int_digit_limit_are_syntax_errors(int_digit_limit):
     for text, column in (("1" * 4301, 1), ("k^" + "1" * 4301, 3)):
         with pytest.raises(PolynomialSyntaxError, match="4300") as info:
@@ -399,28 +428,53 @@ def test_rational_function_normalization():
 # -- int coefficients against the all-Fraction kernel ---------------------------
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
 @st.composite
 def _expressions(draw, over_qz, depth=4):
-    """Parser text: sums, products, negations, powers and divisions by constants."""
+    """Parser text, with the polynomial it denotes built beside it by Polynomial arithmetic:
+    sums, products, negations, powers and divisions by constants."""
     small = st.integers(-9, 9)
     kind = draw(st.sampled_from(["atom", "+", "-", "*", "/", "^", "neg"])) if depth else "atom"
     if kind == "atom":
-        return draw(st.one_of(st.integers(0, 40).map(str), st.sampled_from(["k", "z"][:1 + over_qz]),
-                              st.tuples(small, small).map(lambda t: f"({t[0]}*k + {t[1]})")))
-    inner = draw(_expressions(over_qz, depth - 1))
+        linear = st.tuples(small, small).map(lambda t: (f"({t[0]}*k + {t[1]})", t[0] * K + t[1]))
+        variables = [("k", K), ("z", Polynomial.constant(Z))][:1 + over_qz]
+        return draw(st.one_of(st.integers(0, 40).map(lambda n: (str(n), Polynomial.constant(n))),
+                              st.sampled_from(variables), linear))
+    text, value = draw(_expressions(over_qz, depth - 1))
     if kind == "/":
-        divisor = draw(st.integers(-3, 3).map(lambda b: f"(z + {b})") if over_qz and draw(st.booleans())
-                       else st.integers(1, 12).map(str))
-        return f"{inner}/{divisor}"
+        over_z = over_qz and draw(st.booleans())
+        divisor = draw(st.integers(-3, 3).map(lambda b: (f"(z + {b})", Z + b)) if over_z
+                       else st.integers(1, 12).map(lambda b: (str(b), b)))
+        return f"{text}/{divisor[0]}", value * (Fraction(1) / divisor[1])
     if kind == "^":
-        return f"({inner})^{draw(st.integers(0, 5))}"
+        n = draw(st.integers(0, 5))
+        return f"({text})^{n}", value ** n
     if kind == "neg":
-        return f"-{inner}"
-    return f"({inner} {kind} {draw(_expressions(over_qz, depth - 1))})"
+        return f"-{text}", -value
+    other_text, other = draw(_expressions(over_qz, depth - 1))
+    return f"({text} {kind} {other_text})", _ARITHMETIC[kind](value, other)
 
 
-_PARSER_CASES = st.sampled_from(["Q", "Q(z)"]).flatmap(
+_EXPRESSION_CASES = st.sampled_from(["Q", "Q(z)"]).flatmap(
     lambda field: st.tuples(_expressions(field == "Q(z)"), st.just(field)))
+_PARSER_CASES = _EXPRESSION_CASES.map(lambda case: (case[0][0], case[1]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_EXPRESSION_CASES)
+def test_parse_matches_polynomial_arithmetic(case):
+    # the parser works on coefficient tuples, so its intermediate values bypass Polynomial; the
+    # same expression built by Polynomial arithmetic must give the same stored coefficients
+    (text, want), field = case
+    try:
+        got = parse_polynomial(text, field)
+    except PolynomialSyntaxError as exc:
+        assert "above" in str(exc)  # a size bound of the parser, which the arithmetic does not have
+        return
+    assert got.coeffs == want.coeffs
+    assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
 
 
 def _parsed(text, field):

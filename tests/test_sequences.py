@@ -203,7 +203,8 @@ def _oracle_guess(terms, max_order, max_deg):
                         f = rows[i][col]
                         rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
                 pivots.append(col)
-            free = next((c for c in range(ncols) if c not in pivots), None)
+            # the first free column of the top block: one of a lower block gives a_order = 0
+            free = next((c for c in range(order * (deg + 1), ncols) if c not in pivots), None)
             if free is None:
                 continue
             sol = [Fraction(0)] * ncols
@@ -251,13 +252,20 @@ def _guess_cases(draw):
 
 @settings(max_examples=200, deadline=2000, derandomize=True)
 @given(_guess_cases())
-# a sparse list whose null vector at order 2, degree 3 depends on the column order: read from the
-# degree-major elimination, it gives an operator where the (order, degree) solve gives none
+# a sparse list whose first free column at order 2, degree 3 is in a lower block, so the null vector
+# read from it has a_2 = 0; the one read from the top block's first free column is an operator
 @example(([0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1], 2, 3))
 def test_guess_matches_the_fraction_gauss_jordan_oracle(case):
     terms, max_order, max_deg = case
     got = guess_annihilator(terms, max_order, max_deg)
     assert repr(got) == repr(_oracle_guess(terms, max_order, max_deg))
+
+
+def test_guess_reads_the_null_vector_from_the_top_block():
+    terms = [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 1, 0, 0, 0, 1]
+    L = guess_annihilator(terms, 2, 3)
+    assert L is not None and L.order == 2 and annihilates(L, terms)
+    assert guess_annihilator(terms, 1, 3) is None
 
 
 def test_guess_rejects_a_wrong_nullspace_vector(monkeypatch):
