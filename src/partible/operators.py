@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from .exact import is_prime
-from .poly import Polynomial, parse_polynomial, poly_to_text
+from .poly import Polynomial, PolynomialSyntaxError, parse_polynomial, poly_to_text
 from .ratfunc import RationalFunction, _exquo, _gcd, _horner, _trim, clear_denominators
 
 
@@ -209,17 +209,10 @@ def telescope_sum_check(L: ShiftOperator, x, terms, n: int) -> bool:
     J = L.order
     if len(terms) < n + J:
         raise InsufficientTerms(f"need at least {n + J} terms, got {len(terms)}")
-    lx = adjoint_apply(L, x)
-    lhs = 0
-    for k in range(n):
-        lhs = lhs + lx.eval(k) * terms[k]
-    us = certificate(L, x)
-    head = 0
-    tail = 0
-    for i, u in enumerate(us):
-        head = head + u.eval(0) * terms[i]
-        tail = tail + u.eval(n) * terms[n + i]
-    return lhs == head - tail
+    lx, us = adjoint_apply(L, x), certificate(L, x)
+    lhs = sum(lx.eval(k) * terms[k] for k in range(n))
+    head = sum(u.eval(0) * terms[i] for i, u in enumerate(us))
+    return lhs == head - sum(u.eval(n) * terms[n + i] for i, u in enumerate(us))
 
 
 # -- JSON wire format ---------------------------------------------------------
@@ -245,7 +238,12 @@ def operator_from_dict(data: dict) -> ShiftOperator:
     if (not isinstance(coeffs, list) or len(coeffs) != order + 1
             or not all(isinstance(text, str) for text in coeffs)):
         raise ValueError("operator JSON needs order+1 coefficient strings")
-    polys = [parse_polynomial(text, field) for text in coeffs]
+    polys = []
+    for i, text in enumerate(coeffs):
+        try:
+            polys.append(parse_polynomial(text, field))
+        except PolynomialSyntaxError as exc:
+            raise PolynomialSyntaxError(f"coefficient {i}: {exc.message}", exc.column) from None
     if polys[-1].is_zero:
         raise ValueError("leading coefficient a_J must be nonzero")
     return ShiftOperator(polys)

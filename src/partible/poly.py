@@ -179,7 +179,7 @@ class PolynomialSyntaxError(ValueError):
 
     def __init__(self, message: str, column: int):
         super().__init__(f"{message} (column {column})")
-        self.column = column
+        self.message, self.column = message, column
 
 
 #: the largest exponent, and the largest degree of a power, the parser accepts
@@ -243,8 +243,7 @@ class _Parser:
             token = self.tokens[self.i]
             if token == "*":
                 self.i += 1
-                rhs = self.factor()
-                value = _scale(rhs, value[0]) if len(value) == 1 else _mul(value, rhs)
+                value = _mul(value, self.factor())
             elif token == "/":
                 slash, self.i = self.i, self.i + 1
                 divisor = self.factor()

@@ -43,9 +43,12 @@ def _neg(a):
 
 
 def _mul(a, b):
-    """Schoolbook product; zero coefficients of the left factor are skipped."""
+    """Schoolbook product; zero coefficients of the left factor are skipped, and a factor of one
+    entry scales the other, where a zero of the left factor stays a[-1] * 0, as in the loop."""
     if not a or not b:
         return ()
+    if len(a) == 1 or len(b) == 1:
+        return _scale(b, a[0]) if len(a) == 1 else _trim([x * b[0] if x else a[-1] * 0 for x in a])
     out = [a[-1] * 0] * (len(a) + len(b) - 1)  # a zero of the operands' type
     for i, ca in enumerate(a):
         if ca:

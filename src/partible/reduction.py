@@ -17,14 +17,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
 from .operators import ReductionProfile, ShiftOperator, adjoint_apply
 from .operators import profile as operator_profile
 from .poly import Polynomial
-from .ratfunc import RationalFunction, _add, _mul, _trim, cancel_common, clear_denominators, quotient
+from .ratfunc import RationalFunction, _add, _mul, cancel_common, clear_denominators, quotient
 
 
 class NotPartible(ValueError):
@@ -49,14 +48,14 @@ class ReductionResult(NamedTuple):
 def reduce(Q: Polynomial, L: ShiftOperator) -> ReductionResult:
     """Split Q into adjoint image, exceptional monomials and remainder.
 
-    _back_substitute against the monomial images L*(k^s), s <= deg Q - d,
-    skipping the indicator roots s, where L*(k^s) falls short of degree
-    d+s; for d <= 0 the remainder is zero.
+    _back_substitute against the monomial images L*(k^s), s <= deg Q - d, from one run of _sums at
+    center 0, skipping the indicator roots s, where deg L*(k^s) < d+s; the remainder is 0 if d <= 0.
     """
     prof = operator_profile(L)
-    images = _monomial_images(L, len(Q.coeffs) - 1 - prof.d)
+    terms, E0, factors, _ = _image_parts(L, 0, 0)
+    images = list(itertools.islice(_sums(terms, factors), max(len(Q.coeffs) - prof.d, 0)))
     steps, exceptional, remainder = _back_substitute(
-        *clear_denominators(Q.coeffs), prof.d, images.__getitem__, skip=prof.roots)
+        *clear_denominators(Q.coeffs), prof.d, lambda j: (images[j], E0), skip=prof.roots)
     x = Polynomial([steps.get(s, 0) for s in range(len(Q.coeffs) - prof.d)])
     return ReductionResult(x, exceptional, Polynomial(remainder))
 
@@ -115,20 +114,12 @@ def _image_parts(L: ShiftOperator, center, offset, scale=1) -> tuple:
     return terms, E, factors, e
 
 
-def _monomial_images(L: ShiftOperator, top: int) -> list:
-    """[(I, E_0)] for j <= top, I/E_0 = L*(k^j): I = sum_i T_i f_i^j for the parts of _image_parts
-    at center 0, where f_i = k - i and e = 1, each T_i stepped by f_i once per image."""
-    terms, E0, factors, _ = _image_parts(L, 0, 0)
-    runs = itertools.accumulate(range(top), lambda products, _: list(map(_mul, products, factors)),
-                                initial=terms)
-    return [(functools.reduce(_add, products), E0) for products in runs]
-
-
-def _binomial_power(f: tuple, j: int) -> tuple:
-    """(f_0 + f_1 w)^j by the binomial theorem: coefficient t is C(j, t) f_0^(j-t) f_1^t."""
-    low, high = (list(itertools.accumulate([c] * j, operator.mul, initial=1)) for c in f)
-    binomials = itertools.accumulate(range(j), lambda c, t: c * (j - t) // (t + 1), initial=1)
-    return _trim([c * low[j - t] * high[t] for t, c in enumerate(binomials)])
+def _sums(products: list, factors: list):
+    """Yield sum_i products_i, multiply each product by its factor, and repeat, when next asked:
+    sum_i T_i f_i^j for j = 0, 1, ... from the products T_i and the factors f_i."""
+    while True:
+        yield functools.reduce(_add, products)
+        products = list(map(_mul, products, factors))
 
 
 # -- symmetry center ---------------------------------------------------------
@@ -170,8 +161,7 @@ def gamma_candidates(L: ShiftOperator) -> list:
 
 def find_gamma(L: ShiftOperator):
     """The symmetry center, or None when there is none."""
-    candidates = gamma_candidates(L)
-    return candidates[0] if candidates else None
+    return next(iter(gamma_candidates(L)), None)
 
 
 class PartibleCertificate(NamedTuple):
@@ -216,9 +206,9 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
 
     beta = center_scale(gamma).  The certificate is checked once, a false one raising NotPartible,
     and so are the parts of _image_parts, mapped back to k: T_i/E_0 = a_i(k - i), f_i/e = k - i -
-    gamma + J/2.  Then I = sum_i T_i f_i^j and E = E_0 e^j, with f_i^j by the binomial theorem,
-    so the parts audit proves each image exact: O(J (deg L + 1) j) ring operations per image,
-    built when first asked for and cached, so a reader of one parity of j builds only that parity.
+    gamma + J/2.  Then I = sum_i T_i f_i^j and E = E_0 e^j, from one run of _sums per parity of j,
+    from T_i or T_i f_i stepped by f_i^2, so the parts audit proves each image exact, and each is
+    built once, when first asked for, in O(J (deg L + j)) ring operations: only the parity read.
     """
     prof = operator_profile(L)
     if (L.order != cert.order or prof.roots or prof.d != cert.d
@@ -231,10 +221,18 @@ def adjoint_basis(L: ShiftOperator, cert: PartibleCertificate):
         if back != [E0 * L.coeffs[i].shift(-i), e * Polynomial((half - i - cert.gamma, 1))]:
             raise AssertionError(f"adjoint image part {i} failed exactness audit")
 
-    @functools.cache
+    squares = [_mul(f, f) for f in factors]
+    runs = [([], _sums(start, squares)) for start in (terms, list(map(_mul, terms, factors)))]
+
     def image(j: int) -> tuple[tuple, object]:
-        products = [_mul(_binomial_power(f, j), T) for T, f in zip(terms, factors)]
-        return functools.reduce(_add, products), E0 * e ** j
+        images, run = runs[j % 2]
+        try:
+            while len(images) <= j // 2:
+                images.append(next(run))
+        except BaseException:  # a run an exception left is spent: build the next call's basis anew
+            adjoint_basis.cache_clear()
+            raise
+        return images[j // 2], E0 * e ** j
 
     return image
 

@@ -128,6 +128,22 @@ def test_gamma_command_centers(operator, expected, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == expected
 
 
+@pytest.mark.parametrize("coeffs, index", [(["k + $", "k"], 0), (["k+1", "k + $"], 1)],
+                         ids=["a_0", "a_1"])
+def test_operator_parse_error_names_its_coefficient(coeffs, index, tmp_path, capsys):
+    spec = {"order": 1, "coeffs": coeffs}
+    with pytest.raises(PolynomialSyntaxError) as info:
+        operator_from_dict(spec)
+    assert (str(info.value), info.value.column) == (f"coefficient {index}: unexpected '$' (column 5)", 5)
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(spec))
+    assert main(["profile", "--operator", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: coefficient {index}: unexpected '$' (column 5)\n"
+    # a field the parser does not know is not a parse error of one coefficient
+    with pytest.raises(ValueError, match=r"^unknown field 'R'$"):
+        operator_from_dict({**spec, "field": "R"})
+
+
 @pytest.mark.parametrize("coeffs, partible", [
     (APERY_JSON["coeffs"], True),
     (["2*k+1", "k+3"], False),  # nondegenerate, and its one candidate center fails the mirror check

@@ -425,6 +425,30 @@ def test_rational_function_normalization():
     assert Fraction(1, 2) + Z == (2 * Z + 1) / 2
 
 
+def _schoolbook(a, b):
+    """The product as the kernel's loop forms it, with no branch for a factor of one entry."""
+    if not a or not b:
+        return ()
+    out = [a[-1] * 0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
+    return _trim(out)
+
+
+@pytest.mark.parametrize("long", [(3, 0, -2, 5), (Fraction(1, 2), Fraction(0), Fraction(-3, 4)),
+                                  (Z + 1, RationalFunction(), 2 * Z, Z ** 2 / (Z - 1))],
+                         ids=["int", "Fraction", "RationalFunction"])
+def test_mul_by_one_entry_matches_the_schoolbook_product(long):
+    for one in [(7,), (-1,), (Fraction(2, 3),), (Z - 2,), ((Z + 1) / (Z - 3),)]:
+        for a, b in ((long, one), (one, long)):
+            got, want = _mul(a, b), _schoolbook(a, b)
+            assert got == want and list(map(type, got)) == list(map(type, want)), (a, b)
+    for other in (long, (5,)):
+        assert _mul(other, ()) == _mul((), other) == ()
+
+
 # -- int coefficients against the all-Fraction kernel ---------------------------
 
 

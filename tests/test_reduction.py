@@ -13,7 +13,7 @@ from partible import reduction
 from partible.congruence import constant_table
 from partible.operators import ShiftOperator, adjoint_apply, profile
 from partible.poly import Polynomial, parity_support
-from partible.ratfunc import RationalFunction, Z, _mul, clear_denominators, quotient
+from partible.ratfunc import RationalFunction, Z, clear_denominators, quotient
 from partible.reduction import (
     NotPartible,
     PartibleCertificate,
@@ -98,16 +98,13 @@ def test_reduce_over_symbolic_coefficients():
 
 
 def test_reduce_rejects_an_image_of_the_wrong_degree(monkeypatch):
-    kernel = reduction._monomial_images
+    kernel = reduction._sums
 
-    def one_short_image(L, top):
-        images = kernel(L, top)
-        if top >= 2:
-            I, E = images[2]
-            images[2] = (I[:-1], E)
-        return images
+    def one_short_image(products, factors):
+        for j, image in enumerate(kernel(products, factors)):
+            yield image[:-1] if j == 2 else image
 
-    monkeypatch.setattr(reduction, "_monomial_images", one_short_image)
+    monkeypatch.setattr(reduction, "_sums", one_short_image)
     L = apery_operator()
     assert reduce(K ** 4, L).reassemble(L) == K ** 4  # images 0 and 1 are intact
     with pytest.raises(AssertionError, match="adjoint image 2 has degree 4, expected 5"):
@@ -357,17 +354,20 @@ def test_adjoint_basis_at_integer_centers_of_odd_order():
             assert _basis_image(L, cert, s, 3) == list(image.coeffs)
 
 
-@pytest.mark.parametrize("family", ["apery", "apery_signed", "delannoy_number", "delannoy_poly"])
-def test_centred_basis_matches_adjoint_apply(fresh_bases, family):
+def _assert_centred_images(L, order):
     # I/E against L*((k - gamma + J/2)^j) in powers of w = beta (k - gamma), k = gamma + w/beta
-    L = builtin(family).annihilator
     cert = is_partible(L)
     beta, image = center_scale(cert.gamma), reduction.adjoint_basis(L, cert)
-    for j in range(13):
+    for j in order:
         I, E = image(j)
         expected = adjoint_apply(L, (K - cert.gamma + Fraction(cert.order, 2)) ** j)
         assert Polynomial([quotient(c, E) for c in I]) == expected.subst_linear(Fraction(1, beta),
                                                                                 cert.gamma)
+
+
+@pytest.mark.parametrize("family", ["apery", "apery_signed", "delannoy_number", "delannoy_poly"])
+def test_centred_basis_matches_adjoint_apply(fresh_bases, family):
+    _assert_centred_images(builtin(family).annihilator, range(13))
 
 
 def test_parity_of_remainders_up_to_15():
@@ -457,20 +457,48 @@ def fresh_bases():
 
 
 def test_constant_table_builds_each_adjoint_image_once(monkeypatch, fresh_bases):
-    expand = reduction._binomial_power
-    expansions = []
+    kernel, advanced = reduction._sums, []
 
-    def counting(f, j):
-        expansions.append(j)
-        return expand(f, j)
+    def counting(products, factors):
+        run = len(advanced)
+        advanced.append(0)
 
-    monkeypatch.setattr(reduction, "_binomial_power", counting)
+        def images():
+            for image in kernel(products, factors):
+                advanced[run] += 1
+                yield image
+        return images()
+
+    monkeypatch.setattr(reduction, "_sums", counting)
     table = constant_table("apery", 20)
-    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3), each built once:
-    # one binomial expansion per factor f_i, i = 0, 1, 2
-    assert sorted(expansions) == sorted(list(range(0, 40, 2)) * 3)
+    # (2k+1)^(2r+1), r <= 20, uses the images j = 0, 2, ..., 38 (d = 3): the even run is advanced
+    # once per image and the odd run never
+    assert advanced == [20, 0]
     assert table.entries[20] == constant_table("apery", 20).entries[20]
-    assert len(expansions) == 60  # the second table reuses the cached basis
+    assert advanced == [20, 0]  # the second table reuses the cached basis
+
+
+def test_adjoint_basis_builds_images_out_of_order(fresh_bases):
+    # each parity's run is advanced only as far as the largest image asked of it
+    _assert_centred_images(apery_operator(), (11, 4, 12, 5, 0, 1))
+
+
+def test_an_interrupted_basis_is_built_anew(monkeypatch, fresh_bases):
+    # an exception out of a run ends it, so the cached basis holding it is dropped
+    L = apery_operator()
+    cert = is_partible(L)
+    image = reduction.adjoint_basis(L, cert)
+    image(3)
+
+    def interrupted(a, b):
+        raise KeyboardInterrupt
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reduction, "_mul", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            image(9)
+    assert reduction.adjoint_basis(L, cert) is not image
+    _assert_centred_images(L, (9, 3))
 
 
 def test_normal_forms_refuse_a_parity_with_two_powers_below_d():
@@ -516,14 +544,6 @@ def test_adjoint_basis_audits_its_parts_once(monkeypatch, fresh_bases, part):
     L = apery_operator()
     with pytest.raises(AssertionError, match="adjoint image part 0 failed exactness audit"):
         reduction.adjoint_basis(L, is_partible(L))
-
-
-def test_binomial_power_matches_repeated_products():
-    for f in [(2, 1), (0, 1), (-2, 1), (3, -5), (Z + 1, 2 * Z)]:
-        power = (1,)
-        for j in range(12):
-            assert reduction._binomial_power(f, j) == power
-            power = _mul(power, f)
 
 
 # -- the fraction-free loop against the Fraction loop ---------------------------
