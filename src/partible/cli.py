@@ -1,16 +1,20 @@
 """Command-line interface.
 
-Exit codes: 0 when every check passes, 1 when a verification cell fails,
-2 on input errors (bad files, bad polynomial syntax, violated
-hypotheses, a size bound passed).
+Exit codes: 0 when every check passes (and after `--help`), 1 when a
+verification cell fails, 2 on input errors (bad files, bad polynomial
+syntax, violated hypotheses, a size bound passed) and on argument errors
+(no command, an unknown command, an unknown or repeated option, a flag
+given a value, a stray positional, a missing required option, an option
+without its value, a bad int or `--parity`), and 141 when the reader
+closes stdout early.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
@@ -136,55 +140,149 @@ def cmd_guess(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared by every main()."""
-    parser = argparse.ArgumentParser(
-        prog="partible",
-        description="Polynomial reduction for holonomic sequences and the "
-                    "congruences it produces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, help, options); each option maps to (kind, required, help), where kind is
+# int or str (one value), bool (a flag), list (any number of ints) or a tuple of the values it admits
+COMMANDS = {
+    "profile": (cmd_profile, "degree profile of an operator", {
+        "--operator": (str, True, "operator JSON file"),
+    }),
+    "gamma": (cmd_gamma, "symmetry center and partibility", {
+        "--operator": (str, True, "operator JSON file"),
+    }),
+    "reduce": (cmd_reduce, "reduce a polynomial modulo the difference space", {
+        "--operator": (str, True, "operator JSON file"),
+        "--poly": (str, True, "polynomial in k (and z over Q(z))"),
+    }),
+    "constants": (cmd_constants, "table of congruence constants c_r", {
+        "--family": (str, True, "apery, apery_signed, delannoy_number or delannoy_poly"),
+        "--r-max": (int, True, "largest r of the table"),
+        "--z": (int, False, "evaluate delannoy_poly at this z"),
+        "--json": (bool, False, "emit one JSON object"),
+    }),
+    "verify": (cmd_verify, "sweep congruence checks over primes", {
+        "--family": (str, True, "apery, apery_signed, delannoy_number or delannoy_poly"),
+        "--r-max": (int, True, "largest r checked"),
+        "--p-max": (int, True, "largest prime checked"),
+        "--z": (list, False, "the z values of delannoy_poly"),
+        "--parity": (("odd", "even"), False,
+                     "check (2k+1)^(2r+1) or (2k+1)^(2r+2); default even for "
+                     "delannoy_number, odd otherwise"),
+        "--json": (bool, False, "emit only the JSON report lines, no summary"),
+    }),
+    "guess": (cmd_guess, "fit a recurrence operator to terms", {
+        "--terms": (str, True, "JSON array of integer strings"),
+        "--order": (int, True, "order of the operator"),
+        "--deg": (int, True, "degree of its coefficients"),
+    }),
+}
 
-    p = sub.add_parser("profile", help="degree profile of an operator")
-    p.add_argument("--operator", required=True, help="operator JSON file")
-    p.set_defaults(func=cmd_profile)
 
-    p = sub.add_parser("gamma", help="symmetry center and partibility")
-    p.add_argument("--operator", required=True)
-    p.set_defaults(func=cmd_gamma)
+class ArgumentError(Exception):
+    """A command line that COMMANDS does not admit (exit 2)."""
 
-    p = sub.add_parser("reduce", help="reduce a polynomial modulo the difference space")
-    p.add_argument("--operator", required=True)
-    p.add_argument("--poly", required=True, help="polynomial in k (and z over Q(z))")
-    p.set_defaults(func=cmd_reduce)
+    def __init__(self, where: str, message: str):
+        super().__init__(f"{where}: error: {message}")
 
-    p = sub.add_parser("constants", help="table of congruence constants c_r")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("verify", help="sweep congruence checks over primes")
-    p.add_argument("--family", required=True)
-    p.add_argument("--r-max", type=int, required=True)
-    p.add_argument("--p-max", type=int, required=True)
-    p.add_argument("--z", type=int, nargs="*", default=None)
-    p.add_argument("--parity", choices=("odd", "even"), default=None,
-                   help="check (2k+1)^(2r+1) or (2k+1)^(2r+2); default even for "
-                        "delannoy_number, odd otherwise")
-    p.add_argument("--json", action="store_true",
-                   help="emit only the JSON report lines, no summary")
-    p.set_defaults(func=cmd_verify)
+def _synopsis(option: str, kind) -> str:
+    """How an option is written, as `--r-max R_MAX`."""
+    if kind is bool:
+        return option
+    if isinstance(kind, tuple):
+        return f"{option} {{{','.join(kind)}}}"
+    metavar = option[2:].upper().replace("-", "_")
+    return f"{option} [{metavar} ...]" if kind is list else f"{option} {metavar}"
 
-    p = sub.add_parser("guess", help="fit a recurrence operator to terms")
-    p.add_argument("--terms", required=True, help="JSON array of integer strings")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--deg", type=int, required=True)
-    p.set_defaults(func=cmd_guess)
 
-    return parser
+def _help(command) -> int:
+    """Print the usage of one command, or of all of them when command is None."""
+    if command is None:
+        lines = ["usage: partible <command> [options]", "",
+                 "Polynomial reduction for holonomic sequences and the congruences it produces.",
+                 "", "commands:"]
+        lines += [f"  {name:<10} {text}" for name, (_, text, _) in COMMANDS.items()]
+        lines += ["", "`partible <command> --help` lists the options of a command."]
+    else:
+        _, text, options = COMMANDS[command]
+        usage = [_synopsis(option, kind) if required else f"[{_synopsis(option, kind)}]"
+                 for option, (kind, required, _) in options.items()]
+        lines = [f"usage: partible {command} {' '.join(usage)}", "", text, "", "options:"]
+        lines += [f"  {_synopsis(option, kind):<22} {about}"
+                  for option, (kind, _, about) in options.items()]
+    print("\n".join(lines))
+    return 0
+
+
+def _value(kind, text: str):
+    """One value of an option of this kind; ValueError names the fault."""
+    if kind is int or kind is list:
+        try:
+            return int(text)
+        except ValueError:
+            raise ValueError(f"invalid int value: {text!r}") from None
+    if isinstance(kind, tuple) and text not in kind:
+        raise ValueError(f"invalid choice: {text!r} (choose from {', '.join(kind)})")
+    return text
+
+
+def _parse(argv):
+    """(handler, args) for a command line, args holding one attribute per option of its command.
+
+    Help (`-h` or `--help`) parses to (_help, command).  Option names are exact, each option
+    is given at most once, and a one-value option takes the next token even when it starts
+    with `-`; the values of `--z` run up to the next token that starts with `-` and is not
+    a negative number."""
+    if not argv:
+        raise ArgumentError("partible", f"a command is required: {', '.join(COMMANDS)}")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return _help, None
+    if command not in COMMANDS:
+        raise ArgumentError("partible", f"unknown command {command!r} (choose from {', '.join(COMMANDS)})")
+    handler, _, options = COMMANDS[command]
+    where = f"partible {command}"
+    values = {}
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        i += 1
+        if token in ("-h", "--help"):
+            return _help, command
+        option, eq, text = token.partition("=")
+        if option not in options:
+            raise ArgumentError(where, f"unrecognized arguments: {token}")
+        if option in values:
+            raise ArgumentError(where, f"argument {option}: given more than once")
+        kind = options[option][0]
+        if kind is bool:
+            if eq:
+                raise ArgumentError(where, f"argument {option}: takes no value")
+            values[option] = True
+            continue
+        if eq:
+            texts = [text]
+        elif kind is list:
+            texts = []
+            while i < len(rest) and (rest[i][:1] != "-" or rest[i][1:].isdigit()):
+                texts.append(rest[i])
+                i += 1
+        elif i < len(rest):
+            texts = [rest[i]]
+            i += 1
+        else:
+            raise ArgumentError(where, f"argument {option}: expected one argument")
+        try:
+            given = [_value(kind, text) for text in texts]
+        except ValueError as exc:
+            raise ArgumentError(where, f"argument {option}: {exc}") from None
+        values[option] = given if kind is list else given[0]
+    missing = [option for option, (_, required, _) in options.items()
+               if required and option not in values]
+    if missing:
+        raise ArgumentError(where, f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**{
+        option[2:].replace("-", "_"): values.get(option, False if kind is bool else None)
+        for option, (kind, _, _) in options.items()})
 
 
 def main(argv=None) -> int:
@@ -192,10 +290,18 @@ def main(argv=None) -> int:
     if cap:  # no cap on the digits of int/str conversions, for this run only
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
+        sys.stdout.flush()  # so that a closed stdout raises here, not at exit
+        return code
+    except ArgumentError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered to devnull, so the flush at
+        # exit prints nothing, and end with the code a shell reports for a writer the pipe ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

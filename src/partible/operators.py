@@ -227,11 +227,13 @@ def operator_to_dict(L: ShiftOperator) -> dict:
 
 
 def operator_from_dict(data: dict) -> ShiftOperator:
+    if not isinstance(data, dict):
+        raise ValueError(f"operator JSON must be an object, got {type(data).__name__}")
     try:
         order = data["order"]
         coeffs = data["coeffs"]
         field = data.get("field", "Q")
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ValueError(f"operator JSON is missing {exc}") from None
     if type(order) is not int or order < 0:
         raise ValueError(f"operator order must be a nonnegative integer, got {order!r}")

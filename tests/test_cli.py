@@ -2,12 +2,13 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from partible import congruence, reduction
+from partible import cli, congruence, reduction
 from partible.cli import main
 from partible.congruence import CongruenceReport
 from partible.exact import primes_in_range
@@ -304,14 +305,21 @@ def test_input_errors_exit_2(tmp_path, capsys):
     {"order": True, "coeffs": ["k + 1", "k + 2"]},
     {"order": -1, "coeffs": []},
     {"order": 1, "coeffs": ["k + 1", 3]},
-], ids=["string-order", "bool-order", "negative-order", "non-string-coefficient"])
+    [1, 2],
+    3,
+    "x",
+], ids=["string-order", "bool-order", "negative-order", "non-string-coefficient", "array", "number",
+        "string"])
 def test_malformed_operator_json_exits_2(data, tmp_path, capsys):
     path = tmp_path / "op.json"
     path.write_text(json.dumps(data))
-    assert main(["profile", "--operator", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    for argv in (["profile", "--operator", str(path)], ["reduce", "--operator", str(path), "--poly", "k"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        if not isinstance(data, dict):
+            assert captured.err == f"error: operator JSON must be an object, got {type(data).__name__}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -325,8 +333,10 @@ def test_malformed_operator_json_exits_2(data, tmp_path, capsys):
     ["verify", "--family", "apery", "--parity", "even", "--r-max", "2", "--p-max", "40"],
     ["guess", "--terms", "TERMS", "--order", "-1", "--deg", "2"],
     ["guess", "--terms", "TERMS", "--order", "1", "--deg", "-1"],
+    ["verify", "--family", "delannoy_poly", "--r-max", "1", "--p-max", "50", "--z", "--json"],
 ], ids=["negative-r-max", "no-admissible-prime", "z-zero", "repeated-z", "constants-z-zero",
-        "empty-table", "ignored-z", "apery-even-parity", "guess-negative-order", "guess-negative-deg"])
+        "empty-table", "ignored-z", "apery-even-parity", "guess-negative-order", "guess-negative-deg",
+        "empty-z"])
 def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
     terms = tmp_path / "terms.json"  # a valid term file, so only the bound is wrong
     terms.write_text(json.dumps([str(t) for t in apery_terms(30)]))
@@ -338,6 +348,8 @@ def test_empty_runs_and_ignored_parameters_exit_2(argv, tmp_path, capsys):
         assert captured.err == "error: delannoy_poly needs a nonzero integer z\n"
     if argv[-2:] == ["1", "1"]:
         assert captured.err == "error: delannoy_poly got z=1 more than once\n"
+    if argv[-2:] == ["--z", "--json"]:  # --z with no value is an empty list, which _rule refuses
+        assert captured.err == "error: delannoy_poly needs at least one z\n"
 
 
 def test_console_entry_point():
@@ -351,9 +363,89 @@ def test_console_entry_point():
     assert "unrecognized arguments: --jobs" in proc.stderr
 
 
-def test_cli_imports_neither_dataclasses_nor_inspect():
-    # a CLI call pays for its imports first; dataclasses pulls in inspect, ast and dis
-    code = "import sys, partible.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+_VERIFY = ["verify", "--family", "apery", "--r-max", "1", "--p-max", "20"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "partible: error: a command is required: profile, gamma, reduce, constants, verify, guess"),
+    (["nonsense"], "partible: error: unknown command 'nonsense' (choose from profile, gamma, reduce, "
+                   "constants, verify, guess)"),
+    (_VERIFY + ["--jobs", "2"], "partible verify: error: unrecognized arguments: --jobs"),
+    (["constants", "--fam", "apery", "--r-max", "1"],
+     "partible constants: error: unrecognized arguments: --fam"),
+    (["verify", "--family", "apery", "--p-max", "20"],
+     "partible verify: error: the following arguments are required: --r-max"),
+    (["constants", "--family", "apery", "--r-max", "x"],
+     "partible constants: error: argument --r-max: invalid int value: 'x'"),
+    (_VERIFY + ["--parity", "both"],
+     "partible verify: error: argument --parity: invalid choice: 'both' (choose from odd, even)"),
+    (["constants", "--r-max", "1", "--family"],
+     "partible constants: error: argument --family: expected one argument"),
+    (_VERIFY + ["--r-max", "2"], "partible verify: error: argument --r-max: given more than once"),
+    (["constants", "--family", "apery", "--r-max", "1", "extra"],
+     "partible constants: error: unrecognized arguments: extra"),
+    (["constants", "--family", "apery", "--r-max", "1", "--json=yes"],
+     "partible constants: error: argument --json: takes no value"),
+], ids=["no-command", "unknown-command", "unknown-option", "abbreviated-option", "missing-required",
+        "bad-int", "bad-parity", "no-value", "repeated-option", "stray-positional", "flag-with-value"])
+def test_argument_errors_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+def test_accepted_argument_forms(apery_file, capsys):
+    def out(argv):
+        assert main(argv) == 0, capsys.readouterr().err
+        return capsys.readouterr().out
+
+    spaced = out(["constants", "--family", "apery", "--r-max", "2"])
+    assert out(["constants", "--family=apery", "--r-max=2"]) == spaced
+    rows = [json.loads(line) for line in out(["verify", "--family", "delannoy_poly", "--r-max", "0",
+                                              "--p-max", "20", "--z", "-3", "2", "7", "--json"]).splitlines()]
+    assert sorted({row["z"] for row in rows}) == [-3, 2, 7]
+    spaced = out(["reduce", "--operator", apery_file, "--poly", "-8*(2*k+1)^3"])
+    assert json.loads(spaced) == {"x": "2", "exceptional": {}, "remainder": "0"}
+    assert out(["reduce", "--operator", apery_file, "--poly=-8*(2*k+1)^3"]) == spaced
+    usage = out(["--help"])
+    assert usage.startswith("usage: partible") and all(name in usage for name in cli.COMMANDS)
+    usage = out(["verify", "--help"])
+    assert usage.startswith("usage: partible verify")
+    assert all(option in usage for option in cli.COMMANDS["verify"][2])
+
+
+def test_closed_stdout_exits_141_quietly():
+    argv = [sys.executable, "-m", "partible.cli", "verify", "--family", "apery", "--json"]
+    # the report lines (about 270 KB) outlast what the pipe and the reader's one read hold
+    proc = subprocess.Popen(argv + ["--r-max", "20", "--p-max", "600"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b'{"family": "apery"')
+    proc.stdout.close()
+    try:
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=10) == 141
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert stderr == b""
+    # six report lines still sit in stdout's buffer when the command returns, unless
+    # PYTHONUNBUFFERED is set; a pipe closed before the command starts fails that flush
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(argv + ["--r-max", "0", "--p-max", "20"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=10)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+
+
+def test_cli_imports_no_dataclasses_inspect_argparse_or_gettext():
+    # a CLI call pays for its imports first; dataclasses pulls in inspect, ast and dis, and
+    # argparse pulls in gettext, whose first parser also loads locale
+    code = ("import sys, partible.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
