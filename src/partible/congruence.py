@@ -68,7 +68,8 @@ _RULES = dict(
 )
 
 
-#: the largest verify p and sweep p_max: apery_terms(2000) took 4.6 s on a 2-vCPU host, 8x per doubling
+#: the largest verify p and sweep p_max: apery_terms(2000) took 4.2 s in one block and 2.5 s in two on a
+#: 2-vCPU host, 8x per doubling
 MAX_P = 5000
 
 #: the most bits of a z whose terms are built: delannoy_poly_terms(1000, z) took 0.42 s at z = 9, 1.2 s
@@ -335,7 +336,8 @@ def sweep(family: str, r_max: int, p_max: int, z_values=None,
     The admissible primes are those from the family's smallest prime up, prime to z.  The
     constants come from one normal-form pass (_table_constants), with no reference to any prime,
     evaluated once per z.  Once every z has its primes, one pass over the definition rows
-    evaluates each row at every z (term_lists), so the terms of every z are held at once; then
+    evaluates each row at every z (term_lists), so the terms of every z are held at once; the pass
+    takes the rows in blocks of about equal cost, one per CPU (sequences._row_values).  Then
     each z takes one exact prefix-sum pass per r, read at all of its primes (_cells).  A cell
     that raises is reported as failed, with lhs and rhs None and the exception's class and
     message as its error.  Raises HypothesisViolation when some z is not a nonzero int or is

@@ -441,6 +441,17 @@ def test_closed_stdout_exits_141_quietly():
     assert (proc.returncode, proc.stderr) == (141, b"")
 
 
+def test_split_rows_print_each_cell_once():
+    # apery_terms(1193) takes its rows in one block per CPU, each after the first in a forked
+    # child: a child that flushed this process's stdout, ran its exit handlers or printed a
+    # traceback would add lines to stdout or stderr
+    proc = subprocess.run([sys.executable, "-m", "partible.cli", "verify", "--family", "apery",
+                           "--r-max", "0", "--p-max", "1200", "--json"], capture_output=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    cells = [json.loads(line)["p"] for line in proc.stdout.splitlines()]
+    assert cells == primes_in_range(5, 1200)
+
+
 def test_cli_imports_no_dataclasses_inspect_argparse_or_gettext():
     # a CLI call pays for its imports first; dataclasses pulls in inspect, ast and dis, and
     # argparse pulls in gettext, whose first parser also loads locale

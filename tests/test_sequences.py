@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import random
+import signal
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -81,6 +85,160 @@ def test_binomial_rows_match_comb():
             for m, row in enumerate(rows):
                 assert row == [(math.comb(m, j) * math.comb(m + j, j)) ** e
                                for j in range(m + 1)]
+
+
+def _fake_cpus(monkeypatch, cpus):
+    """Make the affinity mask hold `cpus` CPUs; the list returned gets one entry per fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def _comb_row(m, squared=False):
+    return [(math.comb(m, j) * math.comb(m + j, j)) ** (2 if squared else 1) for j in range(m + 1)]
+
+
+ZS = [3, -2]
+
+
+def _at_zs(row):
+    return [sequences._horner(row, z) for z in ZS]
+
+
+# the real block size around its first split, and a smaller one that gives up to 4 blocks on few rows
+BLOCK_SIZES = [(sequences.ROWS_PER_BLOCK, [2 * sequences.ROWS_PER_BLOCK + d for d in (-1, 0, 1)]),
+               (25, [49, 50, 51, 101, 130])]
+
+
+@pytest.mark.parametrize("per, sizes", BLOCK_SIZES)
+def test_blocks_give_the_one_block_terms(monkeypatch, per, sizes):
+    monkeypatch.setattr(sequences, "ROWS_PER_BLOCK", per)
+    for n in sizes:
+        apery = sequences._row_values(sum, n, squared=True, split=False)
+        delannoy = [list(d) for d in zip(*sequences._row_values(_at_zs, n, split=False))]
+        for cpus in (1, 2, 3, 4):
+            forks = _fake_cpus(monkeypatch, cpus)
+            assert apery_terms(n) == apery
+            assert apery_signed_terms(n) == [a if m % 2 == 0 else -a for m, a in enumerate(apery)]
+            assert sequences.delannoy_poly_term_lists(n, ZS) == delannoy
+            blocks = min(cpus, n // per) if n >= 2 * per else 1
+            assert len(forks) == 3 * (blocks - 1), (n, cpus)
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("per, sizes", BLOCK_SIZES)
+def test_blocks_partition_the_rows_and_meet_the_comb_rows(monkeypatch, per, sizes):
+    monkeypatch.setattr(sequences, "ROWS_PER_BLOCK", per)
+    blocks = set()
+    for cpus in (1, 2, 3, 4, 64):
+        _fake_cpus(monkeypatch, cpus)
+        assert sequences._block_stops(0) == [0, 0]
+        for n in [1, per, *sizes, 20 * per]:
+            stops = sequences._block_stops(n)
+            assert stops[0] == 0 and stops[-1] == n
+            assert len(stops) - 1 == (min(cpus, n // per) if n >= 2 * per else 1)
+            assert all(a < b for a, b in zip(stops, stops[1:]))
+            if n < 20 * per:
+                blocks.update(zip(stops, stops[1:]))
+    for start, stop in blocks:
+        for squared in (False, True):
+            rows = list(binomial_rows(stop, squared, start))
+            assert len(rows) == stop - start
+            # the rows on each side of a boundary: a block's first row, from math.comb, and its
+            # last row, stepped
+            assert rows[0] == _comb_row(start, squared) and rows[-1] == _comb_row(stop - 1, squared)
+
+
+def test_a_raising_block_here_kills_and_reaps_every_child(monkeypatch):
+    monkeypatch.setattr(sequences, "ROWS_PER_BLOCK", 25)
+    _fake_cpus(monkeypatch, 4)
+    stops = sequences._block_stops(120)
+    assert len(stops) == 5
+
+    def f(row):
+        if len(row) - 1 in stops[1:-1]:  # a child's first row: it would outlast the test unless killed
+            time.sleep(30)
+        if len(row) == stops[1]:  # the last row of this process's block
+            raise ZeroDivisionError("row")
+        return sum(row)
+
+    started = time.monotonic()
+    with pytest.raises(ZeroDivisionError, match="row"):
+        sequences._row_values(f, 120)
+    assert time.monotonic() - started < 15
+    assert _no_child_left()
+
+
+@pytest.mark.parametrize("leave", [
+    pytest.param(lambda: os._exit(0), id="exit 0 with nothing sent"),
+    pytest.param(lambda: os.kill(os.getpid(), signal.SIGKILL), id="killed"),
+    pytest.param(lambda: 1 // 0, id="raised"),
+])
+def test_a_child_without_its_values_is_an_error_naming_its_rows(monkeypatch, leave):
+    monkeypatch.setattr(sequences, "ROWS_PER_BLOCK", 25)
+    _fake_cpus(monkeypatch, 3)
+    stops = sequences._block_stops(90)
+
+    def f(row):
+        if len(row) == stops[2] + 1:  # the first row of the last block
+            leave()
+        return sum(row)
+
+    with pytest.raises(RuntimeError, match=f"rows {stops[2]} to 89 sent"):
+        sequences._row_values(f, 90)
+    assert _no_child_left()
+
+
+def test_no_fork_below_two_blocks_or_beside_another_thread(monkeypatch):
+    # a fork copies only the calling thread, and Python 3.12+ warns on a fork beside another thread
+    _fake_cpus(monkeypatch, 4)
+
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    n = 2 * sequences.ROWS_PER_BLOCK
+    assert len(apery_terms(n - 1)) == n - 1
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert len(apery_terms(n)) == n
+        assert len(sequences.delannoy_poly_term_lists(n, ZS)[0]) == n
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_blocks_survive_a_frequent_alarm(monkeypatch):
+    # a SIGALRM handler every 2 ms, as a sampling profiler or the benchmark's speed probe runs,
+    # interrupts the reads and waits of the parent; the children start with no timer
+    forks = _fake_cpus(monkeypatch, 2)
+    n = 2 * sequences.ROWS_PER_BLOCK + 50
+    expected = sequences._row_values(sum, n, squared=True, split=False)
+    fired = []
+    previous = signal.signal(signal.SIGALRM, lambda *_: fired.append(None))
+    signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
+    try:
+        terms = apery_terms(n)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert terms == expected and forks and fired
+    assert _no_child_left()
 
 
 def test_delannoy_parameter_consistency():
