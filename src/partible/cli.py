@@ -5,8 +5,9 @@ verification cell fails, 2 on input errors (bad files, bad polynomial
 syntax, violated hypotheses, a size bound passed) and on argument errors
 (no command, an unknown command, an unknown or repeated option, a flag
 given a value, a stray positional, a missing required option, an option
-without its value, a bad int or `--parity`), and 141 when the reader
-closes stdout early.
+without its value, a bad int or `--parity`), 3 on an internal error (a
+process building a block of definition rows sent no values), and 141
+when the reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .congruence import constant_table, sweep
 from .operators import operator_from_dict, operator_to_dict, profile
 from .poly import parse_polynomial, poly_to_text
 from .reduction import certificate, gamma_candidates, reduce
-from .sequences import guess_annihilator
+from .sequences import RowBlockError, guess_annihilator
 
 
 def _load_json(path: str):
@@ -305,6 +306,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RowBlockError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     finally:
         if cap:
             sys.set_int_max_str_digits(cap)

@@ -6,17 +6,18 @@ Each row of summands C(m,j) C(m+j,j) comes from the last by each
 summand's ratio in m, plus the new diagonal C(2m,m): identities of one
 binomial product, not of the sums, whose recurrence is never used.
 The rows are taken in contiguous blocks of about equal cost, one per CPU
-the process may run on (_row_values): the first block in this process,
-each other one in a forked child that starts from its first row's
-binomials and sends back its rows' values.
+the process may run on as far as the pass's work per row allows
+(_row_values): the first block in this process, each other one in a
+forked child that steps its first row in j and sends back its rows'
+values.
 """
 
 from __future__ import annotations
 
 import os
 from functools import partial
+from itertools import accumulate
 from marshal import dumps, loads
-from math import comb
 from operator import floordiv, mul
 from typing import NamedTuple
 
@@ -32,13 +33,16 @@ class UnknownFamily(ValueError):
 def binomial_rows(n: int, squared: bool = False, start: int = 0):
     """Yield the rows [C(m,j) C(m+j,j) for j = 0 .. m], squared when `squared`, for start <= m < n.
 
-    Row `start` is built from math.comb; each later row m is row m-1 times (m+j)/(m-j) for j < m,
-    plus C(2m,m) = C(2m-2,m-1) 2(2m-1)/m; squares step by the squared factors.  Every division is
-    exact, and `map` runs each in C.
+    Row `start` is stepped in j, u_{j+1} = u_j (m-j)(m+j+1) / (j+1)^2, and squared by one map; each
+    later row m is row m-1 times (m+j)/(m-j) for j < m, plus C(2m,m) = C(2m-2,m-1) 2(2m-1)/m;
+    squares step by the squared factors.  Every division is exact, and `map` runs each in C.
     """
     e = 2 if squared else 1
     pw = [i ** e for i in range(2 * n)]  # pw[i] = i^e
-    row = [(comb(start, j) * comb(start + j, j)) ** e for j in range(start + 1)]
+    row = list(accumulate(range(start), lambda u, j: u * (start - j) * (start + j + 1) // (j + 1) ** 2,
+                          initial=1))
+    if squared:
+        row = list(map(mul, row, row))
     for m in range(start, n):
         if m > start:
             diagonal = row[-1] * (4 * m - 2) ** e // pw[m]
@@ -47,35 +51,54 @@ def binomial_rows(n: int, squared: bool = False, start: int = 0):
         yield row
 
 
-#: the fewest rows in a block, so a list of fewer than 2 ROWS_PER_BLOCK rows is built in this process
-#: alone.  On a 2-vCPU host, two blocks against one took 4.1-4.3 against 2.8 ms for apery_terms(150),
-#: 8.6-10.1 against 10.2-14.2 ms at 250 rows and 24-25 against 37-38 ms at 400.  A split pays only
-#: while the other CPU is idle, so it starts at 400 rows, with a margin.
+#: the fewest rows of work in a block, so a pass of fewer than 2 ROWS_PER_BLOCK rows of work is built
+#: in this process alone; an Apery row is one unit of work (_block_stops).  On a 2-vCPU host, medians
+#: of 21 interleaved runs, two blocks against one took 6.0 against 4.0 ms for apery_terms(150), 8.6
+#: against 8.0 ms at 200 rows, 11.9 against 13.8 ms at 250 and 31.8 against 45.5 ms at 400.  At one
+#: integer z the Delannoy rows split no sooner: 6.0 against 4.5 ms at 150 rows, 7.9 against 6.7 at
+#: 200, 10.8 against 11.2 at 250 and 26.5 against 36.9 at 400, so one z is one unit of work too.  At
+#: three z: 8.1 against 6.3 ms at 150 rows, 11.6 against 14.8 at 200 and 22.2 against 33.0 at 293.
+#: A split pays only while the other CPU is idle, so it starts at 400 rows of work, with a margin.
 ROWS_PER_BLOCK = 200
 
+#: row m costs about (m + ROW_COST_OFFSET)^2: m^2 alone leaves out the cost per summand and per row,
+#: which weighs most in small rows.  On the same host the time to each row of a one-block pass fits
+#: offsets of 30-40 for Apery rows at n = 293 and 600, and 50-80 for Delannoy rows at three z; with
+#: 50, two blocks of 600 Apery rows meet at row 466 (measured half-cost row 469, 476 with m^2 alone)
+#: and of 293 rows at three z at 223 (216, against 233)
+ROW_COST_OFFSET = 50
 
-def _block_stops(n: int) -> list[int]:
+
+def _block_stops(n: int, work: int = 1) -> list[int]:
     """0, the first row of each block after the first, then n.
 
-    Row m costs about m^2 bit operations, so block i ends near n ((i+1)/B)^(1/3).  B is the number
-    of CPUs in the affinity mask, at most n // ROWS_PER_BLOCK, and 1 where the mask is unknown or
-    the process runs another thread, Python's or native: a fork copies only the calling thread,
-    and Python 3.12 warns on it.
+    `work` is the cost of a row in Apery rows, as a whole number; 0 keeps the rows in one block.
+    B, the number of blocks, is the number of CPUs in the affinity mask, at most
+    n work // ROWS_PER_BLOCK, and 1 where the mask is unknown or the process runs another thread,
+    Python's or native: a fork copies only the calling thread, and Python 3.12 warns on it.  Row m
+    costs about (m + c)^2, c = ROW_COST_OFFSET, so block i ends where the rows before it cost i/B
+    of the whole: at (c^3 + (i/B)((n + c)^3 - c^3))^(1/3) - c.
     """
-    count = n // ROWS_PER_BLOCK
+    count, c = n * work // ROWS_PER_BLOCK, ROW_COST_OFFSET
     if count > 1:
         try:
             alone = len(os.listdir("/proc/self/task")) == 1
             count = min(count, len(os.sched_getaffinity(0))) if alone else 1
         except (AttributeError, OSError):  # no affinity mask or no /proc: not Linux
             count = 1
-    return [0] + [round(n * (i / count) ** (1 / 3)) for i in range(1, count)] + [n]
+    ends = [((i * (n + c) ** 3 + (count - i) * c ** 3) / count) ** (1 / 3) - c for i in range(1, count)]
+    return [0] + list(map(round, ends)) + [n]
+
+
+class RowBlockError(RuntimeError):
+    """A forked process did not send the values of its block of rows."""
 
 
 def _fork_block(f, start: int, stop: int, squared: bool) -> tuple[int, int]:
     """(pid, read end of its pipe) of a child that sends marshal.dumps([f(row) for each row
     start <= m < stop]) down the pipe and leaves by os._exit, so it flushes none of the parent's
-    buffers and runs no exit handler; its exit code is 0 only when the whole list was sent."""
+    buffers and runs no exit handler; its exit code is 0 only when the whole list was sent.
+    OSError, with no pipe left open, when no pipe or process could be made."""
     read, write = os.pipe()
     try:
         pid = os.fork()
@@ -96,40 +119,47 @@ def _fork_block(f, start: int, stop: int, squared: bool) -> tuple[int, int]:
     return pid, read
 
 
-def _row_values(f, n: int, squared: bool = False, split: bool = True) -> list:
-    """[f(row) for row in binomial_rows(n, squared)], the rows taken in the blocks of _block_stops
-    when `split`, else in one: the first block in this process, each other one in a child of
-    _fork_block.  f must give values that marshal sends.  Every child is reaped before this
-    returns or raises, and killed first when this process raised; RuntimeError, naming its rows,
+def _row_values(f, n: int, squared: bool = False, work: int = 1) -> list:
+    """[f(row) for row in binomial_rows(n, squared)], the rows taken in the blocks of
+    _block_stops(n, work): the first block in this process, each other one in a child of
+    _fork_block, or here too when the fork or its pipe failed (EAGAIN under a process limit,
+    ENOMEM, EMFILE).  f must give values that marshal sends.  Every child is reaped before this
+    returns or raises, and killed first when this process raised; RowBlockError, naming its rows,
     when a child did not send all of its values."""
-    stops = _block_stops(n) if split else [0, n]
-    children, sent, codes = [], [], []
+    stops = _block_stops(n, work)
+    blocks = dict(zip(stops, stops[1:]))  # first row -> stop
+    children, parts, sent, codes = {}, {}, {}, {}
     try:
-        for start, stop in zip(stops[1:], stops[2:]):
-            children.append(_fork_block(f, start, stop, squared))
-        values = [f(row) for row in binomial_rows(stops[1], squared)]
-        for _, read in children:
+        for start in stops[1:-1]:
+            try:
+                children[start] = _fork_block(f, start, blocks[start], squared)
+            except OSError:  # no pipe or process to spare: the block is built here
+                pass
+        for start, stop in blocks.items():
+            if start not in children:
+                parts[start] = [f(row) for row in binomial_rows(stop, squared, start)]
+        for start, (_, read) in children.items():
             with open(read, "rb", closefd=False) as pipe:
-                sent.append(pipe.read())
+                sent[start] = pipe.read()
     finally:
         if len(sent) < len(children):
             from signal import SIGKILL  # only here, so that importing the CLI does not load signal
 
-            for pid, _ in children:
+            for pid, _ in children.values():
                 os.kill(pid, SIGKILL)
-        for pid, read in children:
+        for start, (pid, read) in children.items():
             os.close(read)
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    for start, stop, code, data in zip(stops[1:], stops[2:], codes, sent):
+            codes[start] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for start, data in sent.items():
         try:
-            block = loads(data)
+            parts[start] = loads(data)
         except EOFError:  # a list cut short
-            block = []
-        if code or len(block) != stop - start:
-            raise RuntimeError(f"the process building rows {start} to {stop - 1} sent {len(data)} "
-                               f"bytes and exited with code {code}, not those rows' values")
-        values += block
-    return values
+            parts[start] = []
+        if codes[start] or len(parts[start]) != blocks[start] - start:
+            raise RowBlockError(f"the process building rows {start} to {blocks[start] - 1} sent "
+                                f"{len(data)} bytes and exited with code {codes[start]}, not those "
+                                f"rows' values")
+    return [value for start in blocks for value in parts[start]]
 
 
 def apery_terms(n: int) -> list[int]:
@@ -154,11 +184,14 @@ def delannoy_poly_terms(n: int, z=1) -> list:
 def delannoy_poly_term_lists(n: int, zs) -> list[list]:
     """delannoy_poly_terms(n, z) for each z of zs, from one pass over the rows of binomial_rows(n),
     in the blocks of _row_values when every z is an int: the rows do not depend on z, so each is
-    evaluated at every z as it is stepped."""
+    evaluated at every z as it is stepped.  Its work per row is one unit per two z, rounded up: a
+    row, its step and one Horner evaluation per z, costs about 0.5 + 0.3 len(zs) Apery rows (0.83,
+    1.1, 1.4 and 1.95 at one, two, three and five z, one-block passes of 300 and 600 rows)."""
     zs = list(map(scalar, zs))
     at = [RationalFunction if z == Z else partial(_horner, x=z) for z in zs]
     # marshal sends ints, not Fractions or RationalFunctions: those z take every row here
-    by_row = _row_values(lambda row: [f(row) for f in at], n, split=all(type(z) is int for z in zs))
+    work = (len(zs) + 1) // 2 if all(type(z) is int for z in zs) else 0
+    by_row = _row_values(lambda row: [f(row) for f in at], n, work=work)
     return [[values[i] for values in by_row] for i in range(len(at))]
 
 

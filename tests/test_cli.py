@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from partible import cli, congruence, reduction
+from partible import cli, congruence, reduction, sequences
 from partible.cli import main
 from partible.congruence import CongruenceReport
 from partible.exact import primes_in_range
@@ -450,6 +450,54 @@ def test_split_rows_print_each_cell_once():
     assert (proc.returncode, proc.stderr) == (0, b"")
     cells = [json.loads(line)["p"] for line in proc.stdout.splitlines()]
     assert cells == primes_in_range(5, 1200)
+
+
+def _verify_reports(capsys, argv):
+    """(exit code, report lines with elapsed dropped, stderr) of an in-process CLI call."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, [dict(json.loads(line), elapsed=0) for line in out.splitlines()], err
+
+
+# apery_terms(619): at most 619 // sequences.ROWS_PER_BLOCK = 3 blocks
+VERIFY_620 = ["verify", "--family", "apery", "--r-max", "0", "--p-max", "620", "--json"]
+
+
+def test_a_failed_fork_builds_its_block_here(monkeypatch, capsys):
+    # a fork refused under a process limit (EAGAIN) or for memory (ENOMEM) is no input error: that
+    # block is built in this process, and the child forked before it is still reaped
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    expected = _verify_reports(capsys, VERIFY_620)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(None)
+        if len(forks) > 1:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _verify_reports(capsys, VERIFY_620) == expected and expected[0] == 0
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_block_without_its_values_is_an_internal_error(monkeypatch, capsys):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def dumps(values):
+        raise MemoryError
+
+    monkeypatch.setattr(sequences, "dumps", dumps)  # in the child, which sends nothing and exits 1
+    start = sequences._block_stops(619)[1]
+    code, reports, err = _verify_reports(capsys, VERIFY_620)
+    assert (code, reports) == (3, [])
+    assert err.startswith(f"error: the process building rows {start} to 618 sent 0 bytes")
+    assert err.count("\n") == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_cli_imports_no_dataclasses_inspect_argparse_or_gettext():

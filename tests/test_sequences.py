@@ -87,6 +87,13 @@ def test_binomial_rows_match_comb():
                                for j in range(m + 1)]
 
 
+@pytest.mark.parametrize("squared", [False, True])
+def test_a_start_row_stepped_in_j_is_the_comb_row(squared):
+    # the first row of a forked child's block, at every small start and at three large ones
+    for start in [*range(80), 476, 794, 1587]:
+        assert next(binomial_rows(start + 1, squared, start)) == _comb_row(start, squared), start
+
+
 def _fake_cpus(monkeypatch, cpus):
     """Make the affinity mask hold `cpus` CPUs; the list returned gets one entry per fork."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
@@ -126,8 +133,8 @@ BLOCK_SIZES = [(sequences.ROWS_PER_BLOCK, [2 * sequences.ROWS_PER_BLOCK + d for 
 def test_blocks_give_the_one_block_terms(monkeypatch, per, sizes):
     monkeypatch.setattr(sequences, "ROWS_PER_BLOCK", per)
     for n in sizes:
-        apery = sequences._row_values(sum, n, squared=True, split=False)
-        delannoy = [list(d) for d in zip(*sequences._row_values(_at_zs, n, split=False))]
+        apery = sequences._row_values(sum, n, squared=True, work=0)
+        delannoy = [list(d) for d in zip(*sequences._row_values(_at_zs, n, work=0))]
         for cpus in (1, 2, 3, 4):
             forks = _fake_cpus(monkeypatch, cpus)
             assert apery_terms(n) == apery
@@ -159,6 +166,28 @@ def test_blocks_partition_the_rows_and_meet_the_comb_rows(monkeypatch, per, size
             # the rows on each side of a boundary: a block's first row, from math.comb, and its
             # last row, stepped
             assert rows[0] == _comb_row(start, squared) and rows[-1] == _comb_row(stop - 1, squared)
+
+
+def test_stops_partition_the_rows_at_every_work(monkeypatch):
+    for cpus in (2, 3, 8):
+        _fake_cpus(monkeypatch, cpus)
+        for work in (0, 1, 2, 3):
+            for n in (0, 1, 66, 67, 199, 200, 201, 293, 399, 400, 1000, 4999):
+                stops = sequences._block_stops(n, work)
+                count = n * work // sequences.ROWS_PER_BLOCK
+                assert len(stops) - 1 == (min(cpus, count) if count > 1 else 1), (cpus, work, n)
+                assert stops[0] == 0 and stops[-1] == n
+                assert list(range(n)) == [m for a, b in zip(stops, stops[1:]) for m in range(a, b)]
+                assert n == 0 or all(a < b for a, b in zip(stops, stops[1:]))
+
+
+def test_three_z_at_293_rows_fork_once(monkeypatch):
+    zs = [-3, 5, 7]
+    expected = [[sequences._horner(row, z) for row in binomial_rows(293)] for z in zs]
+    forks = _fake_cpus(monkeypatch, 2)
+    assert sequences.delannoy_poly_term_lists(293, zs) == expected
+    assert len(forks) == 1
+    assert _no_child_left()
 
 
 def test_a_raising_block_here_kills_and_reaps_every_child(monkeypatch):
@@ -211,6 +240,13 @@ def test_no_fork_below_two_blocks_or_beside_another_thread(monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     n = 2 * sequences.ROWS_PER_BLOCK
     assert len(apery_terms(n - 1)) == n - 1
+    # two blocks pay from about the same length at one z as for Apery rows (ROWS_PER_BLOCK's note),
+    # so one or two z keep the Apery threshold; three z split from half of it
+    assert len(sequences.delannoy_poly_term_lists(n - 1, [5])[0]) == n - 1
+    assert len(sequences.delannoy_poly_term_lists(n - 1, [5, -3])[0]) == n - 1
+    assert len(sequences.delannoy_poly_term_lists(n // 2 - 1, [5, -3, 7])[0]) == n // 2 - 1
+    # z that marshal does not send take one block at any length
+    assert len(sequences.delannoy_poly_term_lists(n, [5, Fraction(1, 2)])[0]) == n
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
@@ -228,7 +264,7 @@ def test_blocks_survive_a_frequent_alarm(monkeypatch):
     # interrupts the reads and waits of the parent; the children start with no timer
     forks = _fake_cpus(monkeypatch, 2)
     n = 2 * sequences.ROWS_PER_BLOCK + 50
-    expected = sequences._row_values(sum, n, squared=True, split=False)
+    expected = sequences._row_values(sum, n, squared=True, work=0)
     fired = []
     previous = signal.signal(signal.SIGALRM, lambda *_: fired.append(None))
     signal.setitimer(signal.ITIMER_REAL, 0.002, 0.002)
